@@ -1,13 +1,15 @@
 """Command-line front end: extract, analyze, partial reports, export, fixture.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 malformed input
-data, 4 graph too degenerate to analyze. Diagnostics go to stderr;
-machine-readable output goes to --out files or stdout.
+data or an unreadable input or unwritable output, 4 graph too degenerate
+to analyze. Diagnostics go to stderr; machine-readable output goes to
+--out files (written atomically) or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -65,10 +67,20 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write to stdout, or atomically to path: a temp file beside it is renamed over it."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        return
+    target = Path(path)
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, target)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            temp.unlink()
+        # the OSError names the temp file; report the requested path instead
+        raise LexnetError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -240,7 +252,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    root = write_fixture(args.out_dir)
+    try:
+        root = write_fixture(args.out_dir)
+    except OSError as exc:
+        raise LexnetError(f"cannot write {args.out_dir}: {exc}") from exc
     print(f"fixture written to {root}", file=sys.stderr)
     return 0
 

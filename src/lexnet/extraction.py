@@ -5,10 +5,22 @@ in the registry. At each position the longest matching alias wins and the
 scan resumes after it; matches must start and end at word boundaries
 (non-letter characters on the normalized alphabet), and mentions of the
 document's own code are dropped.
+
+All aliases are compiled into one regex shaped as a character trie: each
+node is a group over its child characters, and a node where an alias ends
+makes its continuation greedy-optional. The branches of a node start with
+different characters, so the engine follows a single path per start
+position and backs off to a shorter alias only when the longer one is not
+followed by a word boundary. The cost of a scan therefore grows with alias
+length, not with the number of aliases. Past _TRIE_DEPTH characters a
+subtree's remaining suffixes form one flat alternation, longest first, so
+the regex nesting (which the regex parser handles by recursion) stays
+bounded however deeply aliases nest as prefixes of each other.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
 from collections import Counter
@@ -49,6 +61,64 @@ def normalize_text(text: str) -> str:
     return " ".join(lowered.split())
 
 
+_TRIE_DEPTH = 64  # characters; deeper suffixes form one flat alternation
+
+
+def _group(branches: list[str], optional: bool) -> str:
+    if not branches:
+        return ""
+    if len(branches) == 1 and not optional:
+        return branches[0]
+    return "(?:" + "|".join(branches) + (")?" if optional else ")")
+
+
+def _trie_pattern(aliases: Iterable[str]) -> str:
+    """Regex body matching exactly the given aliases, shaped as a prefix trie.
+
+    Sorting puts every trie subtree in one contiguous run of words, so nodes
+    are index ranges and chains of single children collapse into literals.
+    The walk uses an explicit stack: its depth does not depend on alias
+    length. A node is ``(lo, hi, depth)``: ``words[lo:hi]`` share their
+    first ``depth`` characters, and ``words[lo]`` ends there if it is that
+    short (a prefix sorts before its extensions).
+    """
+    words = sorted(aliases)
+    done: list[str] = []  # finished sub-patterns, each node's children in order
+    # (lo, hi, depth, kids): kids is None until the node is expanded, then the
+    # node waits under its kids and is emitted once their patterns are done
+    stack: list[tuple[int, int, int, list | None]] = [(0, len(words), 0, None)]
+    while stack:
+        lo, hi, depth, kids = stack.pop()
+        optional = len(words[lo]) == depth
+        if kids is not None:
+            parts = done[len(done) - len(kids) :]
+            del done[len(done) - len(kids) :]
+            branches = [
+                re.escape(words[k_lo][depth:k_depth]) + part
+                for (k_lo, _, k_depth, _), part in zip(kids, parts)
+            ]
+            done.append(_group(branches, optional))
+        elif depth >= _TRIE_DEPTH:
+            tails = sorted(
+                (w[depth:] for w in words[lo + optional : hi]), key=lambda t: (-len(t), t)
+            )
+            done.append(_group([re.escape(t) for t in tails], optional))
+        else:
+            kids = []
+            start = lo + optional
+            while start < hi:
+                head = words[start][depth]
+                end = start + 1
+                while end < hi and words[end][depth] == head:
+                    end += 1
+                shared = len(os.path.commonprefix((words[start], words[end - 1])))
+                kids.append((start, end, shared, None))
+                start = end
+            stack.append((lo, hi, depth, kids))
+            stack.extend(reversed(kids))
+    return done[0]
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
     slug: str
@@ -79,11 +149,13 @@ class CodeRegistry:
                     )
                 self._alias_to_slug[alias] = entry.slug
         self._slugs = slugs
-        # longest alias first, then lexicographic, so the regex alternation
-        # implements the longest-match rule
-        ordered = sorted(self._alias_to_slug, key=lambda a: (-len(a), a))
-        pattern = "|".join(re.escape(a) for a in ordered)
-        self._matcher = re.compile(rf"(?<![a-z])(?:{pattern})(?![a-z])") if ordered else None
+        # one trie-shaped regex over all aliases; its greedy optional groups
+        # and the trailing guard implement the longest-match rule
+        self._matcher = (
+            re.compile(rf"(?<![a-z])(?:{_trie_pattern(self._alias_to_slug)})(?![a-z])")
+            if self._alias_to_slug
+            else None
+        )
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -202,3 +202,58 @@ class TestExitCodes:
         edges, nodes = extracted
         rc = run(["analyze", "--edges", str(edges), "--k-citing", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestWriteFailures:
+    """An output that cannot be written exits 3 with one line and leaves nothing behind."""
+
+    @staticmethod
+    def _assert_one_line_exit_3(rc, capsys):
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("lexnet: cannot write ")
+        assert len(err.splitlines()) == 1
+
+    def test_analyze_out_in_missing_directory(self, extracted, tmp_path, capsys):
+        edges, nodes = extracted
+        out = tmp_path / "missing" / "r.json"
+        rc = run(["analyze", "--edges", str(edges), "--nodes", str(nodes), "--out", str(out),
+                  "--null-samples", "2"])
+        self._assert_one_line_exit_3(rc, capsys)
+        assert not out.parent.exists()
+
+    def test_analyze_out_is_a_directory(self, extracted, tmp_path, capsys):
+        # the temp file is written, then cannot replace the directory
+        edges, nodes = extracted
+        target = tmp_path / "taken"
+        target.mkdir()
+        rc = run(["analyze", "--edges", str(edges), "--nodes", str(nodes), "--out", str(target),
+                  "--null-samples", "2"])
+        self._assert_one_line_exit_3(rc, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list(target.iterdir()) == []
+
+    def test_extract_out_under_a_regular_file(self, fixture_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        rc = run(["extract", "--corpus", str(fixture_dir / "corpus"),
+                  "--registry", str(fixture_dir / "registry.tsv"),
+                  "--out", str(blocker / "edges.tsv")])
+        self._assert_one_line_exit_3(rc, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert blocker.read_text(encoding="utf-8") == "x"
+
+    def test_fixture_out_dir_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        rc = run(["fixture", "--out-dir", str(blocker / "demo")])
+        self._assert_one_line_exit_3(rc, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_written_file_replaces_old_contents(self, extracted, tmp_path):
+        edges, nodes = extracted
+        out = tmp_path / "report.json"
+        out.write_text("stale", encoding="utf-8")
+        assert _analyze(extracted, out) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["schema_version"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

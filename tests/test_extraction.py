@@ -212,3 +212,79 @@ class TestInvariants:
         assert [m.cited_slug for m in mentions] == ["long"]
         starts = [m.offset for m in mentions if m.cited_slug == "short"]
         assert starts == []
+
+
+def oracle_scan(aliases, text):
+    """Brute-force longest-match scan: (start, alias) of every match.
+
+    At each position not preceded by a letter, the longest alias that starts
+    there and is followed by a non-letter (or the end) wins and the scan
+    jumps past it; otherwise it advances one character.
+    """
+
+    def is_letter(ch):
+        return "a" <= ch <= "z"
+
+    def bounded(alias, start):
+        end = start + len(alias)
+        return text.startswith(alias, start) and (end == len(text) or not is_letter(text[end]))
+
+    by_length = sorted(aliases, key=len, reverse=True)
+    matches = []
+    i = 0
+    while i < len(text):
+        if i == 0 or not is_letter(text[i - 1]):
+            alias = next((a for a in by_length if bounded(a, i)), None)
+            if alias is not None:
+                matches.append((i, alias))
+                i += len(alias)
+                continue
+        i += 1
+    return matches
+
+
+def _registry_of(aliases):
+    return CodeRegistry(
+        [RegistryEntry(f"c{i}", f"Code {i}", (alias,)) for i, alias in enumerate(sorted(aliases))]
+    )
+
+
+def _scan_spans(registry, text):
+    return [(m.start(), m.group(0)) for m in registry.scan(text)]
+
+
+class TestScanOracle:
+    @given(st.data())
+    @settings(max_examples=400, derandomize=True)
+    def test_scan_matches_oracle(self, data):
+        # aliases are prefixes of a few words, so they nest; the text splices
+        # whole aliases between single characters, so matches are frequent
+        word = st.text(alphabet="ab '-", min_size=1, max_size=8)
+        words = data.draw(st.lists(word, min_size=1, max_size=4))
+        prefixes = sorted({w[:k] for w in words for k in range(1, len(w) + 1)})
+        aliases = data.draw(st.sets(st.sampled_from(prefixes), min_size=1))
+        pieces = st.one_of(st.sampled_from(sorted(aliases)), st.sampled_from(list("ab '-z")))
+        text = "".join(data.draw(st.lists(pieces, max_size=20)))
+        registry = _registry_of(aliases)
+        assert _scan_spans(registry, text) == oracle_scan(aliases, text)
+
+    def test_nested_prefix_chain_beyond_depth_cap(self):
+        # 1000 nested prefix-aliases: far deeper than the regex parser could
+        # nest groups, so the deep end must fall back to a flat alternation
+        # the two multi-word aliases end past the cap, where the longest
+        # flat suffix must still win
+        aliases = ["a" * i for i in range(1, 1001)] + ["a" * 70 + " b", "a" * 70 + " b c"]
+        registry = _registry_of(aliases)
+        text = " ".join(
+            ["a" * 1500, "a" * 999, "a" * 70, "ab", "a" * 64, "a" * 65, "a" * 1000, "b"]
+            + ["a" * 70, "b c d", "a" * 70, "b", "bc"]
+        )
+        spans = _scan_spans(registry, text)
+        assert spans == oracle_scan(aliases, text)
+        assert [len(alias) for _, alias in spans] == [999, 70, 64, 65, 1000, 74, 72]
+
+    def test_empty_registry(self):
+        registry = CodeRegistry([])
+        assert len(registry) == 0
+        assert _scan_spans(registry, "code civil et code penal") == []
+        assert load_registry("# nothing here\n").slugs() == []
