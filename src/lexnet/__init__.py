@@ -29,14 +29,15 @@ from .extraction import (
 )
 from .graph import DiGraph, NodeLabel, UGraph, digraph_from_ugraph
 from .metrics import (
-    CentralityScores,
     RichClub,
     Role,
     average_path_length,
-    centrality_scores,
+    betweenness_scores,
+    degree_centrality,
     degree_profile,
     density,
     global_clustering,
+    harmonic_closeness_scores,
     normalized_rich_club,
     rich_club_coefficient,
     rich_club_members,
@@ -46,6 +47,7 @@ from .metrics import (
 from .nullmodels import (
     Assessment,
     NullModelStats,
+    club_cohesion,
     concentrated_world_assessment,
     degree_preserving_rewire,
     erdos_renyi_gnm,
@@ -57,7 +59,6 @@ __all__ = [
     "__version__",
     "AnalysisReport",
     "Assessment",
-    "CentralityScores",
     "CodeDocument",
     "CodeRegistry",
     "CommunityReport",
@@ -71,11 +72,13 @@ __all__ = [
     "Role",
     "UGraph",
     "average_path_length",
+    "betweenness_scores",
     "brute_force_best_partition",
     "build_edge_list",
-    "centrality_scores",
+    "club_cohesion",
     "cnm_communities",
     "concentrated_world_assessment",
+    "degree_centrality",
     "degree_preserving_rewire",
     "degree_profile",
     "density",
@@ -83,6 +86,7 @@ __all__ = [
     "erdos_renyi_gnm",
     "find_citations",
     "global_clustering",
+    "harmonic_closeness_scores",
     "load_registry",
     "modularity",
     "normalize_text",

@@ -26,23 +26,17 @@ from .errors import (
 from .extraction import CodeDocument, build_edge_list, load_registry
 from .fixture import write_fixture
 from .graph import DiGraph
-from .pipeline import (
-    analyze_graph,
-    build_baseline_sections,
-    build_communities_section,
-    build_graph_summary,
-    build_provenance,
-    build_rich_club_section,
-)
+from .pipeline import REPORT_SECTIONS, analyze_graph, build_sections
 from .report import (
+    SCHEMA_VERSION,
     canonical_json,
     parse_edge_list,
+    read_report,
     write_dot,
     write_graphml,
     write_node_sidecar,
     write_report,
 )
-from .report import SCHEMA_VERSION, read_report
 
 CONFIG_ENV_VAR = "LEXNET_CONFIG"
 
@@ -55,6 +49,15 @@ _OVERRIDE_FLAGS = (
     ("ws_p", float),
     ("rewire_budget_factor", int),
 )
+
+# The report sections each analysis subcommand writes, all selected from
+# one pipeline pass, so a partial output is section-identical to analyze.
+_COMMAND_SECTIONS = {
+    "analyze": REPORT_SECTIONS,
+    "richclub": ("graph_summary", "rich_club", "provenance"),
+    "communities": ("graph_summary", "communities", "provenance"),
+    "nulls": ("graph_summary", "baselines", "assessment", "provenance"),
+}
 
 
 def _read_text(path: str) -> str:
@@ -172,64 +175,21 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     config = _load_pipeline_config(args)
-    report = analyze_graph(graph, config, _inputs(args), args.run_id)
-    _write_text(args.out, write_report(report))
+    for key in ("k_citing", "k_cited"):
+        k = getattr(config, key)
+        if k > graph.node_count:
+            raise ConfigError(f"{key}={k} exceeds the node count {graph.node_count}")
+    names = _COMMAND_SECTIONS[args.command]
+    if names == REPORT_SECTIONS:
+        text = write_report(analyze_graph(graph, config, _inputs(args), args.run_id))
+    else:
+        sections = build_sections(graph, config, names, _inputs(args), args.run_id)
+        text = canonical_json({"schema_version": SCHEMA_VERSION, **sections}) + "\n"
+    _write_text(args.out, text)
     return 0
-
-
-def _partial_payload(args: argparse.Namespace, sections: dict) -> int:
-    payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(sections)
-    _write_text(args.out, canonical_json(payload) + "\n")
-    return 0
-
-
-def _cmd_richclub(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    config = _load_pipeline_config(args)
-    section, _ = build_rich_club_section(graph, config)
-    return _partial_payload(
-        args,
-        {
-            "graph_summary": build_graph_summary(graph),
-            "rich_club": section,
-            "provenance": build_provenance(config, _inputs(args), args.run_id),
-        },
-    )
-
-
-def _cmd_communities(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    config = _load_pipeline_config(args)
-    _, club = build_rich_club_section(graph, config)
-    section, _ = build_communities_section(graph, club, config)
-    return _partial_payload(
-        args,
-        {
-            "graph_summary": build_graph_summary(graph),
-            "communities": section,
-            "provenance": build_provenance(config, _inputs(args), args.run_id),
-        },
-    )
-
-
-def _cmd_nulls(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    config = _load_pipeline_config(args)
-    _, club = build_rich_club_section(graph, config)
-    baselines, assessment = build_baseline_sections(graph, club, config)
-    return _partial_payload(
-        args,
-        {
-            "graph_summary": build_graph_summary(graph),
-            "baselines": baselines,
-            "assessment": assessment,
-            "provenance": build_provenance(config, _inputs(args), args.run_id),
-        },
-    )
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -262,10 +222,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "extract": _cmd_extract,
-    "analyze": _cmd_analyze,
-    "richclub": _cmd_richclub,
-    "communities": _cmd_communities,
-    "nulls": _cmd_nulls,
+    **dict.fromkeys(_COMMAND_SECTIONS, _cmd_report),
     "export": _cmd_export,
     "fixture": _cmd_fixture,
 }

@@ -9,7 +9,6 @@ treats graphs as read-only values.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -49,6 +48,25 @@ def _index_labels(labels: Sequence[NodeLabel | str]) -> tuple[tuple[NodeLabel, .
             raise DuplicateLabelError(f"slug {lab.slug!r} appears twice")
         index[lab.slug] = i
     return resolved, index
+
+
+def bfs(adj: Sequence[Iterable[int]], source: NodeId) -> tuple[list[int], list[int]]:
+    """Breadth-first search from source over an adjacency list.
+
+    Returns the reached nodes in visiting order (source first, distances
+    non-decreasing) and the unweighted distance of every node from
+    source, -1 for the nodes it cannot reach.
+    """
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    order = [source]
+    for v in order:  # the loop also visits the nodes appended below
+        d = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+    return order, dist
 
 
 class DiGraph:
@@ -129,14 +147,6 @@ class DiGraph:
         self._check(target)
         return self._succ[source].get(target, 0)
 
-    def successors(self, v: NodeId) -> tuple[int, ...]:
-        self._check(v)
-        return tuple(sorted(self._succ[v]))
-
-    def predecessors(self, v: NodeId) -> tuple[int, ...]:
-        self._check(v)
-        return tuple(sorted(self._pred[v]))
-
     def out_degree(self, v: NodeId) -> int:
         """Number of distinct codes cited by v."""
         self._check(v)
@@ -176,14 +186,6 @@ class DiGraph:
                     reduced.add_edge(ns, mapping[t], w)
         return reduced, mapping
 
-    def induced_subgraph(self, keep: Iterable[NodeId]) -> tuple["DiGraph", dict[int, int]]:
-        """Keep only the given nodes; arcs survive iff both endpoints are kept."""
-        keep_set = set(keep)
-        for v in keep_set:
-            self._check(v)
-        victims = set(range(len(self._labels))) - keep_set
-        return self.remove_nodes(victims)
-
     def undirected_projection(self) -> "UGraph":
         """Forget direction and weight: {u,v} present iff u->v or v->u."""
         ug = UGraph(self._labels)
@@ -191,28 +193,6 @@ class DiGraph:
             for t in self._succ[s]:
                 ug.add_edge(s, t)
         return ug
-
-    def weakly_connected_components(self) -> list[set[int]]:
-        """Partition nodes into components, ignoring arc direction."""
-        n = len(self._labels)
-        seen = [False] * n
-        components: list[set[int]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp = {start}
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self._succ[v].keys() | self._pred[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        queue.append(w)
-            components.append(comp)
-        return components
-
 
 class UGraph:
     """Simple undirected graph used for clustering, paths and modularity."""
@@ -280,10 +260,6 @@ class UGraph:
         self._check(v)
         return tuple(sorted(self._adj[v]))
 
-    def neighbor_set(self, v: NodeId) -> frozenset[int]:
-        self._check(v)
-        return frozenset(self._adj[v])
-
     def adjacency(self) -> list[set[int]]:
         """Snapshot of the adjacency structure (one set per node)."""
         return [set(nbrs) for nbrs in self._adj]
@@ -295,49 +271,17 @@ class UGraph:
                 if v > u:
                     yield u, v
 
-    def bfs_distances(self, source: NodeId) -> dict[int, int | None]:
-        """Unweighted shortest-path distances from source.
-
-        Every node appears in the result; unreachable nodes map to None.
-        """
-        self._check(source)
-        dist: dict[int, int | None] = {v: None for v in range(len(self._labels))}
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for w in self._adj[v]:
-                if dist[w] is None:
-                    dist[w] = dv + 1  # type: ignore[operator]
-                    queue.append(w)
-        return dist
-
     def connected_components(self) -> list[set[int]]:
-        n = len(self._labels)
-        seen = [False] * n
+        seen: set[int] = set()
         components: list[set[int]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp = {start}
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        queue.append(w)
-            components.append(comp)
+        for start in range(len(self._labels)):
+            if not self._adj[start]:  # its own component; bfs would cost O(n) for it
+                components.append({start})
+            elif start not in seen:
+                order, _ = bfs(self._adj, start)
+                seen.update(order)
+                components.append(set(order))
         return components
-
-    def copy(self) -> "UGraph":
-        dup = UGraph(self._labels)
-        for u, v in self.edges():
-            dup.add_edge(u, v)
-        return dup
 
 
 def digraph_from_ugraph(ug: UGraph) -> DiGraph:

@@ -19,7 +19,7 @@ from .errors import (
     NullModelDegenerateError,
     UndefinedCoefficientError,
 )
-from .graph import DiGraph, NodeId, UGraph
+from .graph import DiGraph, NodeId, UGraph, bfs
 from .seeding import derive_seed
 
 
@@ -283,34 +283,17 @@ def average_path_length(ug: UGraph) -> PathSummary:
     if len(largest) < 2:
         return PathSummary(0.0, fraction)
     adj = ug.adjacency()
+    outside = n - len(largest)
     total = 0
     for source in sorted(largest):
-        dist = [-1] * n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                    total += dv + 1
-        # nodes outside the largest component are unreachable from it,
-        # so every distance summed above is a within-component pair
+        # the nodes outside the largest component are the unreached ones,
+        # each at distance -1
+        total += sum(bfs(adj, source)[1]) + outside
     pairs = len(largest) * (len(largest) - 1) // 2
     return PathSummary(total / 2 / pairs, fraction)
 
 
 # -- centrality -----------------------------------------------------------------
-
-CENTRALITY_KINDS = ("degree", "betweenness", "closeness")
-
-
-@dataclass(frozen=True)
-class CentralityScores:
-    kind: str
-    values: tuple[float, ...]
 
 
 def betweenness_scores(ug: UGraph) -> list[float]:
@@ -362,41 +345,20 @@ def harmonic_closeness_scores(ug: UGraph) -> list[float]:
     adj = ug.adjacency()
     scores = []
     for source in range(n):
-        dist = [-1] * n
-        dist[source] = 0
-        queue = deque([source])
+        order, dist = bfs(adj, source)
         total = 0.0
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                    total += 1.0 / (dv + 1)
+        for w in order[1:]:  # nearest first, so float sums are reproducible
+            total += 1.0 / dist[w]
         scores.append(total / (n - 1))
     return scores
 
 
-def centrality_scores(g: DiGraph, kind: str) -> CentralityScores:
-    """Degree, betweenness or closeness centrality for every node.
-
-    Degree centrality is (in + out) / (2 (n - 1)) on the digraph; the two
-    path-based measures run on the undirected projection.
-    """
-    if kind not in CENTRALITY_KINDS:
-        raise ValueError(f"kind must be one of {CENTRALITY_KINDS}, got {kind!r}")
+def degree_centrality(g: DiGraph) -> list[float]:
+    """(in + out) / (2 (n - 1)) for every node of the digraph."""
     n = g.node_count
-    if kind == "degree":
-        if n < 2:
-            values = [0.0] * n
-        else:
-            values = [(g.in_degree(v) + g.out_degree(v)) / (2 * (n - 1)) for v in g.node_ids()]
-    elif kind == "betweenness":
-        values = betweenness_scores(g.undirected_projection())
-    else:
-        values = harmonic_closeness_scores(g.undirected_projection())
-    return CentralityScores(kind, tuple(values))
+    if n < 2:
+        return [0.0] * n
+    return [(g.in_degree(v) + g.out_degree(v)) / (2 * (n - 1)) for v in g.node_ids()]
 
 
 def phi_table(ug: UGraph) -> dict[int, float | None]:

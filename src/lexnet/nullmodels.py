@@ -258,16 +258,19 @@ def club_cohesion(
 
 def concentrated_world_assessment(
     g: DiGraph,
-    rich_club: RichClub | None,
+    ug: UGraph,
+    rich_club_present: bool,
     samples: int,
     seed: int,
     thresholds: AssessmentThresholds = AssessmentThresholds(),
     ws_p: float = 0.1,
-    swap_factor: int = 10,
 ) -> Assessment:
     """Classify the network against density-matched ER and WS baselines.
 
-    The verdict rule, evaluated in order:
+    ug is the undirected projection of g, and rich_club_present is the
+    verdict of :func:`club_cohesion` on the candidate rich club; both are
+    taken as inputs so one analysis computes each of them once. The
+    verdict rule, evaluated in order:
       concentrated_world - mean total degree >= degree_fraction * (n-1)
         and the rich club's cohesion validates;
       small_world_like - transitivity >= transitivity_factor * ER mean and
@@ -279,7 +282,6 @@ def concentrated_world_assessment(
     n = g.node_count
     if n < 3:
         raise DegenerateGraphError("assessment needs at least 3 nodes")
-    ug = g.undirected_projection()
     m = ug.edge_count
 
     observed_density = density(g)
@@ -301,14 +303,8 @@ def concentrated_world_assessment(
         observed_transitivity / er.clustering_mean if er.clustering_mean else 0.0
     )
 
-    club_ok = False
-    if rich_club is not None and rich_club.members:
-        club_ok, _, _ = club_cohesion(
-            g, ug, rich_club, samples, derive_seed(seed, "phi-norm"), swap_factor
-        )
-
     dense_enough = mean_total_degree >= thresholds.degree_fraction * (n - 1)
-    if dense_enough and club_ok:
+    if dense_enough and rich_club_present:
         verdict = "concentrated_world"
     elif (
         er.clustering_mean > 0.0
@@ -329,6 +325,6 @@ def concentrated_world_assessment(
         baselines=baselines,
         density_ratio_vs_er=density_ratio,
         clustering_ratio_vs_er=clustering_ratio,
-        rich_club_present=club_ok,
+        rich_club_present=rich_club_present,
         verdict=verdict,
     )

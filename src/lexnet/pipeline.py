@@ -1,37 +1,44 @@
-"""Assembles the full analysis report from the individual analyses.
+"""Assembles the analysis report from the individual analyses.
 
-Each report section is produced by one builder so the partial CLI
-subcommands and the full ``analyze`` run share code paths and agree
-section for section. Random seeds are derived per section from the
-configured base seed, never drawn sequentially, so a section's content is
-independent of which other sections were computed.
+:func:`build_sections` makes one pass over a graph and returns the
+requested report sections; the full ``analyze`` run and the partial CLI
+subcommands both select from it, so they agree section for section.
+Random seeds are derived per section from the configured base seed,
+never drawn sequentially, so a section's content is independent of which
+other sections were computed.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
 from typing import Sequence
 
 from . import __version__
-from .communities import CommunityReport, reduced_network_partition
+from .communities import reduced_network_partition
 from .config import PipelineConfig
-from .graph import DiGraph
+from .graph import DiGraph, UGraph
 from .metrics import (
     RichClub,
-    centrality_scores,
+    betweenness_scores,
+    degree_centrality,
     degree_profile,
     density,
+    harmonic_closeness_scores,
     phi_table,
     rich_club_members,
     top_cited,
     top_citing,
 )
-from .nullmodels import Assessment, club_cohesion, concentrated_world_assessment
+from .nullmodels import club_cohesion, concentrated_world_assessment
 from .report import SCHEMA_VERSION, AnalysisReport
 from .seeding import derive_seed
 
 
-def build_graph_summary(g: DiGraph) -> dict:
-    ug = g.undirected_projection()
+# Every report section but schema_version, in report order.
+REPORT_SECTIONS = tuple(f.name for f in fields(AnalysisReport) if f.name != "schema_version")
+
+
+def build_graph_summary(g: DiGraph, ug: UGraph) -> dict:
     return {
         "n": g.node_count,
         "arcs": g.arc_count,
@@ -72,18 +79,11 @@ def build_rankings_section(g: DiGraph, config: PipelineConfig) -> dict:
     }
 
 
-def build_rich_club_section(g: DiGraph, config: PipelineConfig) -> tuple[dict, RichClub]:
-    club = rich_club_members(g, config.k_citing, config.k_cited)
-    ug = g.undirected_projection()
+def build_rich_club_section(
+    g: DiGraph, ug: UGraph, club: RichClub, cohesion: tuple, config: PipelineConfig
+) -> dict:
     table = {str(k): phi for k, phi in phi_table(ug).items()}
-    validated, k_min, norm = club_cohesion(
-        g,
-        ug,
-        club,
-        config.null_samples,
-        derive_seed(config.seed, "phi-norm"),
-        config.rewire_budget_factor,
-    )
+    validated, k_min, norm = cohesion
     normalized = None
     if norm is not None:
         normalized = {
@@ -94,7 +94,7 @@ def build_rich_club_section(g: DiGraph, config: PipelineConfig) -> tuple[dict, R
             "sample_stddev": norm.sample_stddev,
             "samples": config.null_samples,
         }
-    section = {
+    return {
         "members": sorted(g.slug(v) for v in club.members),
         "top_citing": [g.slug(v) for v in club.top_citing],
         "top_cited": [g.slug(v) for v in club.top_cited],
@@ -107,22 +107,21 @@ def build_rich_club_section(g: DiGraph, config: PipelineConfig) -> tuple[dict, R
         "phi_normalized": normalized,
         "cohesion_validated": validated,
     }
-    return section, club
 
 
-def build_centrality_section(g: DiGraph) -> dict:
-    section = {}
-    for kind in ("degree", "betweenness", "closeness"):
-        scores = centrality_scores(g, kind)
-        section[kind] = {g.slug(v): scores.values[v] for v in g.node_ids()}
-    return section
+def build_centrality_section(g: DiGraph, ug: UGraph) -> dict:
+    scores = {
+        "degree": degree_centrality(g),
+        "betweenness": betweenness_scores(ug),
+        "closeness": harmonic_closeness_scores(ug),
+    }
+    slugs = [g.slug(v) for v in g.node_ids()]
+    return {kind: dict(zip(slugs, values)) for kind, values in scores.items()}
 
 
-def build_communities_section(
-    g: DiGraph, club: RichClub, config: PipelineConfig
-) -> tuple[dict, CommunityReport]:
+def build_communities_section(g: DiGraph, club: RichClub, config: PipelineConfig) -> dict:
     report = reduced_network_partition(g, club.members, config.min_community_size)
-    section = {
+    return {
         "q": report.partition.q,
         "assignment": report.assignment_by_slug(),
         "main": [
@@ -133,37 +132,21 @@ def build_communities_section(
         "min_size": report.min_size,
         "removed": sorted(g.slug(v) for v in club.members),
     }
-    return section, report
 
 
-def run_assessment(g: DiGraph, club: RichClub, config: PipelineConfig) -> Assessment:
-    return concentrated_world_assessment(
+def build_baseline_sections(
+    g: DiGraph, ug: UGraph, rich_club_present: bool, config: PipelineConfig
+) -> tuple[list, dict]:
+    assessment = concentrated_world_assessment(
         g,
-        club,
+        ug,
+        rich_club_present,
         config.null_samples,
         config.seed,
         config.thresholds(),
         config.ws_p,
-        config.rewire_budget_factor,
     )
-
-
-def build_baseline_sections(g: DiGraph, club: RichClub, config: PipelineConfig) -> tuple[list, dict]:
-    assessment = run_assessment(g, club, config)
-    baselines = [
-        {
-            "model": stats.model,
-            "samples": stats.samples,
-            "seed": stats.seed,
-            "params": dict(stats.params),
-            "density_mean": stats.density_mean,
-            "clustering_mean": stats.clustering_mean,
-            "clustering_stddev": stats.clustering_stddev,
-            "path_length_mean": stats.path_length_mean,
-            "path_length_stddev": stats.path_length_stddev,
-        }
-        for stats in assessment.baselines
-    ]
+    baselines = [asdict(stats) for stats in assessment.baselines]
     assessment_section = {
         "observed": {
             "density": assessment.observed_density,
@@ -190,6 +173,51 @@ def build_provenance(config: PipelineConfig, inputs: Sequence[str], run_id: str)
     }
 
 
+def build_sections(
+    g: DiGraph,
+    config: PipelineConfig,
+    names: Sequence[str],
+    inputs: Sequence[str] = (),
+    run_id: str = "",
+) -> dict:
+    """The named report sections of g, keyed and ordered as in ``names``.
+
+    The undirected projection, the rich club and its cohesion test are
+    computed once, whatever is named, and shared by every section that
+    uses them. Communities, baselines with the assessment, and centrality
+    are the costly sections; each is built only when named.
+    """
+    ug = g.undirected_projection()
+    club = rich_club_members(g, config.k_citing, config.k_cited)
+    cohesion = club_cohesion(
+        g,
+        ug,
+        club,
+        config.null_samples,
+        derive_seed(config.seed, "phi-norm"),
+        config.rewire_budget_factor,
+    )
+    sections = {
+        "graph_summary": build_graph_summary(g, ug),
+        "roles": build_roles_section(g),
+        "rankings": build_rankings_section(g, config),
+        "rich_club": build_rich_club_section(g, ug, club, cohesion, config),
+        "provenance": build_provenance(config, inputs, run_id),
+    }
+    if "baselines" in names or "assessment" in names:
+        sections["baselines"], sections["assessment"] = build_baseline_sections(
+            g, ug, cohesion[0], config
+        )
+    if "centrality" in names:
+        sections["centrality"] = build_centrality_section(g, ug)
+    # communities project the reduced network; freeing the whole graph's
+    # projection first keeps one projection, not two, alive at peak memory
+    del ug
+    if "communities" in names:
+        sections["communities"] = build_communities_section(g, club, config)
+    return {name: sections[name] for name in names}
+
+
 def analyze_graph(
     g: DiGraph,
     config: PipelineConfig,
@@ -197,18 +225,5 @@ def analyze_graph(
     run_id: str = "",
 ) -> AnalysisReport:
     """Run every analysis and assemble the full report."""
-    rich_club_section, club = build_rich_club_section(g, config)
-    communities_section, _ = build_communities_section(g, club, config)
-    baselines, assessment_section = build_baseline_sections(g, club, config)
-    return AnalysisReport(
-        schema_version=SCHEMA_VERSION,
-        graph_summary=build_graph_summary(g),
-        roles=build_roles_section(g),
-        rankings=build_rankings_section(g, config),
-        rich_club=rich_club_section,
-        centrality=build_centrality_section(g),
-        communities=communities_section,
-        baselines=baselines,
-        assessment=assessment_section,
-        provenance=build_provenance(config, inputs, run_id),
-    )
+    sections = build_sections(g, config, REPORT_SECTIONS, inputs, run_id)
+    return AnalysisReport(schema_version=SCHEMA_VERSION, **sections)

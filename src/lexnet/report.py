@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Collection, Mapping
 from xml.sax.saxutils import escape, quoteattr
 
@@ -23,6 +23,7 @@ from .errors import (
     SelfLoopLineError,
 )
 from .graph import DiGraph, NodeLabel
+from .nullmodels import NullModelStats
 
 SCHEMA_VERSION = 1
 
@@ -84,15 +85,6 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
         seen.add((citing, cited))
         graph.add_edge(graph.id_of(citing), graph.id_of(cited), count)
     return graph
-
-
-def write_edge_list(g: DiGraph) -> str:
-    """TSV records of a graph, sorted by (citing, cited) slug."""
-    rows = sorted(
-        (g.slug(s), g.slug(t), w) for s, t, w in g.arcs()
-    )
-    lines = [f"{citing}\t{cited}\t{count}" for citing, cited, count in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def write_node_sidecar(slugs: Collection[str]) -> str:
@@ -321,6 +313,8 @@ _ASSESSMENT_KEYS = (
     "rich_club_present",
     "verdict",
 )
+_CENTRALITY_KINDS = ("degree", "betweenness", "closeness")
+_BASELINE_KEYS = tuple(f.name for f in fields(NullModelStats))
 
 
 def validate_report_payload(payload: Any) -> None:
@@ -355,6 +349,19 @@ def validate_report_payload(payload: Any) -> None:
     for slug in club["members"]:
         if slug not in node_slugs:
             raise SchemaViolationError(f"$.rich_club.members.{slug}", "unknown slug")
+    for kind in _CENTRALITY_KINDS:
+        scores = payload["centrality"].get(kind)
+        if not isinstance(scores, dict) or set(scores) != node_slugs:
+            raise SchemaViolationError(f"$.centrality.{kind}", "expected one score per node slug")
+        for slug, value in scores.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaViolationError(f"$.centrality.{kind}.{slug}", "expected a number")
+    for i, entry in enumerate(payload["baselines"]):
+        if not isinstance(entry, dict):
+            raise SchemaViolationError(f"$.baselines[{i}]", "expected object")
+        for key in _BASELINE_KEYS:
+            if key not in entry:
+                raise SchemaViolationError(f"$.baselines[{i}].{key}", "missing field")
     assessment = payload["assessment"]
     for key in _ASSESSMENT_KEYS:
         if key not in assessment:

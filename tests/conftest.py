@@ -118,6 +118,18 @@ def brute_force_phi(ug: UGraph, k: int) -> float | None:
     return internal / possible
 
 
+def assess(g: DiGraph, club, samples: int, seed: int, **kwargs):
+    """Assess g as the pipeline does: cohesion of club (None: no club) feeds the verdict."""
+    from lexnet.nullmodels import club_cohesion, concentrated_world_assessment
+    from lexnet.seeding import derive_seed
+
+    ug = g.undirected_projection()
+    present = club is not None and club_cohesion(
+        g, ug, club, samples, derive_seed(seed, "phi-norm")
+    )[0]
+    return concentrated_world_assessment(g, ug, present, samples, seed, **kwargs)
+
+
 def degree_multiset(ug: UGraph) -> list[int]:
     return sorted(ug.degree(v) for v in ug.node_ids())
 

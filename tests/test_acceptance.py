@@ -28,7 +28,6 @@ from lexnet.metrics import (
     rich_club_members,
 )
 from lexnet.nullmodels import (
-    concentrated_world_assessment,
     degree_preserving_rewire,
     erdos_renyi_gnm,
     watts_strogatz,
@@ -37,6 +36,7 @@ from lexnet.metrics import global_clustering
 from lexnet.cli import run
 
 from conftest import (
+    assess,
     brute_force_betweenness,
     brute_force_phi,
     degree_multiset,
@@ -200,13 +200,13 @@ def test_criterion_6_discrimination():
         ws = watts_strogatz(52, 6, 0.1, seed=seed)
         g = digraph_from_ugraph(ws)
         club = rich_club_members(g, 5, 6)
-        verdict = concentrated_world_assessment(g, club, samples=25, seed=seed).verdict
+        verdict = assess(g, club, samples=25, seed=seed).verdict
         ok = ok and verdict == "small_world_like"
     for seed in range(100):
         er = erdos_renyi_gnm(52, 156, seed=seed)
         g = digraph_from_ugraph(er)
         club = rich_club_members(g, 5, 6)
-        verdict = concentrated_world_assessment(g, club, samples=25, seed=seed).verdict
+        verdict = assess(g, club, samples=25, seed=seed).verdict
         ok = ok and verdict != "concentrated_world"
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60.0

@@ -1,11 +1,26 @@
 """End-to-end CLI behavior: subcommands, exit codes, composition, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import lexnet
+import lexnet.nullmodels
+import lexnet.pipeline
 from lexnet.cli import run
+from lexnet.graph import DiGraph
+
+# sha256 of each command's output on the bundled fixture at the default
+# config, run from one working directory with relative input paths (the
+# paths are recorded in provenance).
+GOLDEN_DIGESTS = {
+    "analyze": "05b69b21b8495e33b6fd48966d4fb6bd8667a526e0b909771f4304834ae2ab32",
+    "richclub": "7019c1694c4a112f6453817ede80db04564ae7a34a3f821b234271f8b8184075",
+    "communities": "01fb13f430080816d33c05a7924c4d76c7d06ce34f8be75b73721b1e8729170a",
+    "nulls": "14229651296c8f70a531c3d6374c7be829519ffb0c077bcaba4eaab4f0fbcc71",
+}
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +104,10 @@ class TestAnalyze:
         full = tmp_path / "full.json"
         assert _analyze(extracted, full) == 0
         report = json.loads(full.read_text(encoding="utf-8"))
-        for command, section in (
-            ("richclub", "rich_club"),
-            ("communities", "communities"),
-            ("nulls", "assessment"),
+        for command, sections in (
+            ("richclub", {"rich_club"}),
+            ("communities", {"communities"}),
+            ("nulls", {"baselines", "assessment"}),
         ):
             partial_path = tmp_path / f"{command}.json"
             rc = run(
@@ -101,10 +116,43 @@ class TestAnalyze:
             )
             assert rc == 0
             partial = json.loads(partial_path.read_text(encoding="utf-8"))
-            assert partial[section] == report[section]
-            assert partial["graph_summary"] == report["graph_summary"]
-        nulls = json.loads((tmp_path / "nulls.json").read_text(encoding="utf-8"))
-        assert nulls["baselines"] == report["baselines"]
+            assert set(partial) == {"schema_version", "graph_summary", "provenance"} | sections
+            for key, value in partial.items():
+                assert value == report[key], (command, key)
+
+    def test_golden_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["fixture", "--out-dir", "fx"]) == 0
+        assert run(["extract", "--corpus", "fx/corpus", "--registry", "fx/registry.tsv",
+                    "--out", "edges.tsv", "--nodes-out", "nodes.txt"]) == 0
+        digests = {}
+        for command in GOLDEN_DIGESTS:
+            out = f"{command}.json"
+            assert run([command, "--edges", "edges.tsv", "--nodes", "nodes.txt", "--out", out]) == 0
+            digests[command] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+        assert digests == GOLDEN_DIGESTS
+
+    def test_one_projection_and_one_cohesion_test_per_run(self, extracted, tmp_path, monkeypatch):
+        calls = {"club_cohesion": 0, "undirected_projection": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        cohesion = counting("club_cohesion", lexnet.nullmodels.club_cohesion)
+        monkeypatch.setattr(lexnet.pipeline, "club_cohesion", cohesion)
+        monkeypatch.setattr(lexnet.nullmodels, "club_cohesion", cohesion)
+        monkeypatch.setattr(
+            DiGraph,
+            "undirected_projection",
+            counting("undirected_projection", DiGraph.undirected_projection),
+        )
+        assert _analyze(extracted, tmp_path / "r.json") == 0
+        # one projection of the whole graph, one of the reduced network
+        assert calls == {"club_cohesion": 1, "undirected_projection": 2}
 
     def test_config_file_and_flag_override(self, extracted, tmp_path):
         edges, nodes = extracted
@@ -203,6 +251,19 @@ class TestExitCodes:
         rc = run(["analyze", "--edges", str(edges), "--k-citing", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "richclub", "communities", "nulls"])
+    def test_k_larger_than_the_graph(self, command, tmp_path, capsys):
+        edges = tmp_path / "three.tsv"
+        edges.write_text("a\tb\t1\nb\tc\t1\n", encoding="utf-8")
+        out = tmp_path / "never.json"
+        for extra, key in (([], "k_citing"), (["--k-citing", "3"], "k_cited")):
+            rc = run([command, "--edges", str(edges), "--out", str(out), *extra])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"lexnet: configuration error: {key}=")
+        assert not out.exists()
+
 
 class TestWriteFailures:
     """An output that cannot be written exits 3 with one line and leaves nothing behind."""
@@ -257,3 +318,7 @@ class TestWriteFailures:
         assert _analyze(extracted, out) == 0
         assert json.loads(out.read_text(encoding="utf-8"))["schema_version"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_every_public_name_resolves():
+    assert [name for name in lexnet.__all__ if not hasattr(lexnet, name)] == []

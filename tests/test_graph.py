@@ -10,7 +10,7 @@ from lexnet.errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-from lexnet.graph import DiGraph, NodeLabel, UGraph, digraph_from_ugraph
+from lexnet.graph import DiGraph, NodeLabel, UGraph, bfs, digraph_from_ugraph
 
 from conftest import make_digraph, random_digraph
 
@@ -130,19 +130,25 @@ class TestRemoveNodes:
 
 
 class TestInducedSubgraph:
+    """The subgraph induced by a node set is remove_nodes of its complement."""
+
+    @staticmethod
+    def induced(g, keep):
+        return g.remove_nodes(set(g.node_ids()) - keep)
+
     def test_keep_all(self, bridge_digraph):
-        sub, _ = bridge_digraph.induced_subgraph(set(bridge_digraph.node_ids()))
+        sub, _ = self.induced(bridge_digraph, set(bridge_digraph.node_ids()))
         assert sorted(sub.arcs()) == sorted(bridge_digraph.arcs())
 
     def test_two_unconnected(self, bridge_digraph):
-        sub, _ = bridge_digraph.induced_subgraph(
-            {bridge_digraph.id_of("a"), bridge_digraph.id_of("e")}
+        sub, _ = self.induced(
+            bridge_digraph, {bridge_digraph.id_of("a"), bridge_digraph.id_of("e")}
         )
         assert sub.arc_count == 0
 
     def test_bridge_endpoints_keep_only_bridge(self, bridge_digraph):
         keep = {bridge_digraph.id_of("c"), bridge_digraph.id_of("d")}
-        sub, mapping = bridge_digraph.induced_subgraph(keep)
+        sub, mapping = self.induced(bridge_digraph, keep)
         arcs = list(sub.arcs())
         assert len(arcs) == 1
         s, t, _ = arcs[0]
@@ -180,28 +186,30 @@ class TestProjection:
 
 
 class TestComponents:
+    """Weak components of a digraph are components of its projection."""
+
     def test_two_triangles(self):
         g = make_digraph("abcdef", [("a", "b"), ("b", "c"), ("c", "a"),
                                     ("d", "e"), ("e", "f"), ("f", "d")])
-        comps = g.weakly_connected_components()
+        comps = g.undirected_projection().connected_components()
         assert sorted(len(c) for c in comps) == [3, 3]
 
     def test_isolated_vertex_is_singleton(self):
         g = make_digraph("abc", [("a", "b")])
-        comps = g.weakly_connected_components()
+        comps = g.undirected_projection().connected_components()
         assert {frozenset(c) for c in comps} == {
             frozenset({0, 1}),
             frozenset({2}),
         }
 
     def test_connected_graph_single_component(self, bridge_digraph):
-        assert len(bridge_digraph.weakly_connected_components()) == 1
+        assert len(bridge_digraph.undirected_projection().connected_components()) == 1
 
     def test_components_partition_nodes(self):
         rng = random.Random(3)
         for _ in range(20):
             g = random_digraph(rng, 9, rng.randint(1, 10))
-            comps = g.weakly_connected_components()
+            comps = g.undirected_projection().connected_components()
             seen = [v for c in comps for v in c]
             assert sorted(seen) == list(range(9))
 
@@ -211,30 +219,32 @@ class TestBfs:
         from conftest import make_ugraph
 
         ug = make_ugraph("abc", [("a", "b"), ("b", "c")])
-        assert ug.bfs_distances(0) == {0: 0, 1: 1, 2: 2}
+        assert bfs(ug.adjacency(), 0) == ([0, 1, 2], [0, 1, 2])
 
     def test_isolated_source(self):
         from conftest import make_ugraph
 
         ug = make_ugraph("abc", [("a", "b")])
-        assert ug.bfs_distances(2) == {0: None, 1: None, 2: 0}
+        assert bfs(ug.adjacency(), 2) == ([2], [-1, -1, 0])
 
     def test_bridge_fixture_from_a(self, bridge_ugraph):
-        dist = bridge_ugraph.bfs_distances(0)
-        by_slug = {bridge_ugraph.slug(v): d for v, d in dist.items()}
+        order, dist = bfs(bridge_ugraph.adjacency(), 0)
+        by_slug = {bridge_ugraph.slug(v): d for v, d in enumerate(dist)}
         assert by_slug == {"a": 0, "b": 1, "c": 1, "d": 2, "e": 3, "f": 3}
+        assert [dist[v] for v in order] == sorted(dist)
 
     def test_neighbor_distances_differ_by_at_most_one(self):
         rng = random.Random(17)
         for _ in range(20):
             g = random_digraph(rng, 9, rng.randint(2, 18))
             ug = g.undirected_projection()
-            dist = ug.bfs_distances(rng.randrange(9))
+            order, dist = bfs(ug.adjacency(), rng.randrange(9))
+            assert sorted(order) == [v for v, d in enumerate(dist) if d >= 0]
             for u, v in ug.edges():
-                if dist[u] is not None and dist[v] is not None:
+                if dist[u] >= 0 and dist[v] >= 0:
                     assert abs(dist[u] - dist[v]) <= 1
                 else:
-                    assert dist[u] is None and dist[v] is None
+                    assert dist[u] == dist[v] == -1
 
 
 def test_digraph_from_ugraph_one_arc_per_edge(bridge_ugraph):

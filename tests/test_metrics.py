@@ -10,11 +10,12 @@ from lexnet.metrics import (
     Role,
     average_path_length,
     betweenness_scores,
-    centrality_scores,
     classify_role,
+    degree_centrality,
     degree_profile,
     density,
     global_clustering,
+    harmonic_closeness_scores,
     normalized_rich_club,
     rich_club_coefficient,
     rich_club_members,
@@ -294,13 +295,13 @@ class TestPathLength:
 class TestCentrality:
     def test_star_hub_betweenness_maximal(self):
         g = make_digraph("habcd", [("h", x) for x in "abcd"])
-        scores = centrality_scores(g, "betweenness")
+        scores = betweenness_scores(g.undirected_projection())
         hub = g.id_of("h")
-        assert all(scores.values[hub] > scores.values[v] for v in g.node_ids() if v != hub)
+        assert all(scores[hub] > scores[v] for v in g.node_ids() if v != hub)
 
     def test_complete_graph_zero_betweenness(self):
         g = make_digraph("abcd", [(a, b) for a in "abcd" for b in "abcd" if a != b])
-        assert set(centrality_scores(g, "betweenness").values) == {0.0}
+        assert set(betweenness_scores(g.undirected_projection())) == {0.0}
 
     def test_path_middle_matches_enumeration(self):
         g = make_digraph("abc", [("a", "b"), ("b", "c")])
@@ -323,15 +324,10 @@ class TestCentrality:
         rng = random.Random(61)
         for _ in range(10):
             g = random_digraph(rng, 8, 16)
-            scores = centrality_scores(g, "closeness")
-            assert all(0.0 <= v <= 1.0 for v in scores.values)
+            scores = harmonic_closeness_scores(g.undirected_projection())
+            assert all(0.0 <= v <= 1.0 for v in scores)
 
     def test_degree_centrality(self):
         g = make_digraph("abc", [("a", "b"), ("b", "a"), ("a", "c")])
-        scores = centrality_scores(g, "degree")
-        assert scores.values[g.id_of("a")] == pytest.approx(3 / 4)
-
-    def test_unknown_kind(self):
-        g = make_digraph("ab", [("a", "b")])
-        with pytest.raises(ValueError):
-            centrality_scores(g, "pagerank")
+        scores = degree_centrality(g)
+        assert scores[g.id_of("a")] == pytest.approx(3 / 4)

@@ -14,13 +14,12 @@ from lexnet.graph import digraph_from_ugraph
 from lexnet.metrics import global_clustering, rich_club_members
 from lexnet.nullmodels import (
     AssessmentThresholds,
-    concentrated_world_assessment,
     degree_preserving_rewire,
     erdos_renyi_gnm,
     watts_strogatz,
 )
 
-from conftest import degree_multiset, make_ugraph, random_ugraph
+from conftest import assess, degree_multiset, make_ugraph, random_ugraph
 
 
 class TestErdosRenyi:
@@ -129,14 +128,14 @@ class TestRewire:
 class TestAssessment:
     def test_fixture_is_concentrated(self, fixture_graph):
         club = rich_club_members(fixture_graph, 5, 6)
-        result = concentrated_world_assessment(fixture_graph, club, samples=25, seed=42)
+        result = assess(fixture_graph, club, samples=25, seed=42)
         assert result.verdict == "concentrated_world"
         assert result.rich_club_present is True
 
     def test_ws_without_club_is_small_world(self):
         ws = watts_strogatz(52, 6, 0.1, seed=0)
         g = digraph_from_ugraph(ws)
-        result = concentrated_world_assessment(g, None, samples=25, seed=0)
+        result = assess(g, None, samples=25, seed=0)
         assert result.verdict == "small_world_like"
         assert result.rich_club_present is False
 
@@ -145,13 +144,13 @@ class TestAssessment:
             er = erdos_renyi_gnm(52, 156, seed=seed)
             g = digraph_from_ugraph(er)
             club = rich_club_members(g, 5, 6)
-            result = concentrated_world_assessment(g, club, samples=20, seed=seed)
+            result = assess(g, club, samples=20, seed=seed)
             assert result.verdict in ("sparse_random_like", "inconclusive")
 
     def test_verdict_is_pure_function_of_inputs(self, fixture_graph):
         club = rich_club_members(fixture_graph, 5, 6)
-        a = concentrated_world_assessment(fixture_graph, club, samples=10, seed=3)
-        b = concentrated_world_assessment(fixture_graph, club, samples=10, seed=3)
+        a = assess(fixture_graph, club, samples=10, seed=3)
+        b = assess(fixture_graph, club, samples=10, seed=3)
         assert a == b
 
     def test_degenerate(self):
@@ -160,12 +159,12 @@ class TestAssessment:
         g = DiGraph(["a", "b"])
         g.add_edge(0, 1)
         with pytest.raises(DegenerateGraphError):
-            concentrated_world_assessment(g, None, samples=5, seed=0)
+            assess(g, None, samples=5, seed=0)
 
     def test_thresholds_are_configurable(self, fixture_graph):
         club = rich_club_members(fixture_graph, 5, 6)
         strict = AssessmentThresholds(degree_fraction=0.99)
-        result = concentrated_world_assessment(
+        result = assess(
             fixture_graph, club, samples=10, seed=3, thresholds=strict
         )
         assert result.verdict != "concentrated_world"

@@ -13,6 +13,8 @@ from lexnet.errors import (
     SelfLoopLineError,
 )
 from lexnet.config import PipelineConfig
+from lexnet.extraction import CodeDocument, build_edge_list, load_registry
+from lexnet.fixture import fixture_corpus, fixture_registry_text
 from lexnet.pipeline import analyze_graph
 from lexnet.report import (
     DuplicateRecordWarning,
@@ -20,7 +22,6 @@ from lexnet.report import (
     parse_edge_list,
     read_report,
     write_dot,
-    write_edge_list,
     write_graphml,
     write_node_sidecar,
     write_report,
@@ -70,17 +71,15 @@ class TestParseEdgeList:
         assert g.weight(g.id_of("a"), g.id_of("b")) == 3
         assert g.arc_count == 1
 
-    def test_round_trip(self, fixture_graph):
-        text = write_edge_list(fixture_graph)
-        sidecar = write_node_sidecar([lab.slug for lab in fixture_graph.labels])
-        again = parse_edge_list(text, sidecar)
-        assert again.node_count == fixture_graph.node_count
-        assert sorted(
-            (again.slug(s), again.slug(t), w) for s, t, w in again.arcs()
-        ) == sorted(
-            (fixture_graph.slug(s), fixture_graph.slug(t), w)
-            for s, t, w in fixture_graph.arcs()
-        )
+    def test_round_trip(self):
+        registry = load_registry(fixture_registry_text())
+        corpus = [CodeDocument(slug, text) for slug, text in fixture_corpus().items()]
+        edge_list = build_edge_list(corpus, registry)
+        again = parse_edge_list(edge_list.to_tsv(), write_node_sidecar(registry.slugs()))
+        assert again.node_count == len(registry.slugs())
+        assert sorted((again.slug(s), again.slug(t), w) for s, t, w in again.arcs()) == [
+            (r.citing_slug, r.cited_slug, r.count) for r in edge_list.records
+        ]
 
 
 @pytest.fixture
@@ -218,3 +217,36 @@ class TestReportRoundTrip:
     def test_not_json(self):
         with pytest.raises(SchemaViolationError):
             read_report("not json at all")
+
+    @staticmethod
+    def _violation(payload) -> str:
+        with pytest.raises(SchemaViolationError) as exc:
+            read_report(canonical_json(payload))
+        return exc.value.path
+
+    def test_missing_centrality_kind_rejected(self, report):
+        payload = json.loads(write_report(report))
+        del payload["centrality"]["closeness"]
+        assert self._violation(payload) == "$.centrality.closeness"
+
+    def test_centrality_keyed_by_other_slugs_rejected(self, report):
+        payload = json.loads(write_report(report))
+        scores = payload["centrality"]["betweenness"]
+        scores["not_a_code"] = scores.pop(sorted(scores)[0])
+        assert self._violation(payload) == "$.centrality.betweenness"
+
+    def test_non_numeric_centrality_rejected(self, report):
+        payload = json.loads(write_report(report))
+        slug = sorted(payload["roles"])[0]
+        payload["centrality"]["degree"][slug] = True
+        assert self._violation(payload) == f"$.centrality.degree.{slug}"
+
+    def test_baseline_entry_not_an_object_rejected(self, report):
+        payload = json.loads(write_report(report))
+        payload["baselines"][1] = "er_gnm"
+        assert self._violation(payload) == "$.baselines[1]"
+
+    def test_baseline_entry_missing_field_rejected(self, report):
+        payload = json.loads(write_report(report))
+        del payload["baselines"][0]["path_length_stddev"]
+        assert self._violation(payload) == "$.baselines[0].path_length_stddev"
