@@ -19,7 +19,7 @@ from .errors import (
     NullModelDegenerateError,
     UndefinedCoefficientError,
 )
-from .graph import DiGraph, NodeId, UGraph, bfs
+from .graph import DiGraph, NodeId, UGraph, distance_counts
 from .seeding import derive_seed
 
 
@@ -282,13 +282,12 @@ def average_path_length(ug: UGraph) -> PathSummary:
     fraction = reachable_pairs / (n * (n - 1) // 2)
     if len(largest) < 2:
         return PathSummary(0.0, fraction)
+    # sweep the largest component alone, so its masks are |largest| bits wide
+    nodes = sorted(largest)
+    local = {v: i for i, v in enumerate(nodes)}
     adj = ug.adjacency()
-    outside = n - len(largest)
-    total = 0
-    for source in sorted(largest):
-        # the nodes outside the largest component are the unreached ones,
-        # each at distance -1
-        total += sum(bfs(adj, source)[1]) + outside
+    counts, _ = distance_counts([[local[w] for w in adj[v]] for v in nodes])
+    total = sum(d * c for row in counts for d, c in enumerate(row, 1))
     pairs = len(largest) * (len(largest) - 1) // 2
     return PathSummary(total / 2 / pairs, fraction)
 
@@ -342,13 +341,16 @@ def harmonic_closeness_scores(ug: UGraph) -> list[float]:
     n = ug.node_count
     if n < 2:
         return [0.0] * n
-    adj = ug.adjacency()
+    counts, _ = distance_counts(ug.adjacency())
     scores = []
-    for source in range(n):
-        order, dist = bfs(adj, source)
+    for row in counts:
+        # 1/d once per node at distance d, nearest first: the same float
+        # additions, in the same order, as summing over a breadth-first visit
         total = 0.0
-        for w in order[1:]:  # nearest first, so float sums are reproducible
-            total += 1.0 / dist[w]
+        for d, c in enumerate(row, 1):
+            inverse = 1.0 / d
+            for _ in range(c):
+                total += inverse
         scores.append(total / (n - 1))
     return scores
 
@@ -362,6 +364,27 @@ def degree_centrality(g: DiGraph) -> list[float]:
 
 
 def phi_table(ug: UGraph) -> dict[int, float | None]:
-    """phi(k) for every k from 0 to the maximum degree."""
-    max_deg = max((ug.degree(v) for v in ug.node_ids()), default=0)
-    return {k: rich_club_coefficient(ug, k) for k in range(max_deg + 1)}
+    """phi(k) for every k from 0 to the maximum degree, in one pass.
+
+    A node counts towards phi(k) while its degree exceeds k, and an edge
+    while its smaller endpoint degree does, so suffix sums over those two
+    histograms give every n_k and e_k; the values equal
+    :func:`rich_club_coefficient` exactly.
+    """
+    adj = ug.adjacency()
+    degree = [len(nbrs) for nbrs in adj]
+    max_deg = max(degree, default=0)
+    nodes_at = [0] * (max_deg + 1)
+    edges_at = [0] * (max_deg + 1)
+    for u, nbrs in enumerate(adj):
+        nodes_at[degree[u]] += 1
+        for v in nbrs:
+            if v > u:
+                edges_at[min(degree[u], degree[v])] += 1
+    phis: list[float | None] = []
+    n_k = e_k = 0  # nodes and edges with every endpoint degree above k
+    for k in range(max_deg, -1, -1):
+        phis.append(2.0 * e_k / (n_k * (n_k - 1)) if n_k >= 2 else None)
+        n_k += nodes_at[k]
+        e_k += edges_at[k]
+    return dict(enumerate(reversed(phis)))

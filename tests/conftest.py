@@ -6,8 +6,21 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from lexnet.graph import DiGraph, NodeLabel, UGraph
+
+
+@st.composite
+def ugraphs(draw, max_nodes: int = 12) -> UGraph:
+    """Hypothesis strategy: small simple graphs, often disconnected."""
+    n = draw(st.integers(1, max_nodes))
+    ug = UGraph([f"n{i:02d}" for i in range(n)])
+    node = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        if u != v:
+            ug.add_edge(u, v)
+    return ug
 
 
 def make_digraph(slugs, arcs):
@@ -106,6 +119,74 @@ def _all_simple_paths(ug: UGraph, s: int, t: int) -> list[tuple[int, ...]]:
             if w not in path:
                 stack.append((w, path + (w,)))
     return paths
+
+
+def reference_bfs(adj, source: int) -> tuple[list[int], list[int]]:
+    """One breadth-first search: visiting order and distances (-1 unreached)."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    order = [source]
+    for v in order:
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return order, dist
+
+
+def reference_average_path_length(ug: UGraph) -> tuple[float, float]:
+    """Average path length by one breadth-first search per source.
+
+    Same conventions as the implementation under test (largest component,
+    ties to the smallest node id; reachable fraction over all pairs) but
+    finds components and distances on its own.
+    """
+    n = ug.node_count
+    adj = ug.adjacency()
+    dists = [reference_bfs(adj, s)[1] for s in range(n)]
+    components = {frozenset(v for v, d in enumerate(row) if d >= 0) for row in dists}
+    largest = max(components, key=lambda c: (len(c), -min(c)))
+    reachable_pairs = sum(len(c) * (len(c) - 1) // 2 for c in components)
+    fraction = reachable_pairs / (n * (n - 1) // 2)
+    if len(largest) < 2:
+        return 0.0, fraction
+    total = sum(d for s in largest for d in dists[s] if d > 0)
+    pairs = len(largest) * (len(largest) - 1) // 2
+    return total / 2 / pairs, fraction
+
+
+def reference_harmonic_closeness(ug: UGraph) -> list[float]:
+    """Harmonic closeness summing 1/d over each search's visiting order."""
+    n = ug.node_count
+    if n < 2:
+        return [0.0] * n
+    adj = ug.adjacency()
+    scores = []
+    for source in range(n):
+        order, dist = reference_bfs(adj, source)
+        total = 0.0
+        for w in order[1:]:
+            total += 1.0 / dist[w]
+        scores.append(total / (n - 1))
+    return scores
+
+
+def union_find_components(ug: UGraph) -> set[frozenset[int]]:
+    """Connected components by union-find over the edge list."""
+    parent = list(range(ug.node_count))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in ug.edges():
+        parent[find(u)] = find(v)
+    groups: dict[int, set[int]] = {}
+    for v in ug.node_ids():
+        groups.setdefault(find(v), set()).add(v)
+    return {frozenset(g) for g in groups.values()}
 
 
 def brute_force_phi(ug: UGraph, k: int) -> float | None:

@@ -21,9 +21,11 @@ from lexnet.extraction import CodeDocument, CodeRegistry, RegistryEntry, find_ci
 from lexnet.graph import digraph_from_ugraph
 from lexnet.metrics import (
     Role,
+    average_path_length,
     betweenness_scores,
     degree_profile,
     density,
+    harmonic_closeness_scores,
     rich_club_coefficient,
     rich_club_members,
 )
@@ -416,3 +418,17 @@ def test_criterion_10_extraction_throughput():
     ok = elapsed < 0.5 and found == planted
     print(f"  scan of {len(text) / 1e6:.2f} MB, 2000 aliases: {elapsed:.3f}s, {found} matches")
     _report("10 (extraction throughput)", ok)
+
+
+def test_criterion_11_distance_sweep_throughput():
+    """Average path length and harmonic closeness of ER 2000/10000 within budget."""
+    ug = erdos_renyi_gnm(2000, 10_000, seed=11)
+    # one breadth-first search per source takes about 8 s on this graph; the
+    # bit-parallel distance sweep takes about 0.25 s
+    started = time.monotonic()
+    summary = average_path_length(ug)
+    closeness = harmonic_closeness_scores(ug)
+    elapsed = time.monotonic() - started
+    ok = elapsed < 1.5 and summary.average > 1.0 and len(closeness) == 2000
+    print(f"  path length + closeness on ER 2000/10000: {elapsed:.2f}s")
+    _report("11 (distance sweep throughput)", ok)

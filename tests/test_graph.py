@@ -1,8 +1,9 @@
-"""Graph primitives: construction, degrees, subgraphs, components, BFS."""
+"""Graph primitives: construction, degrees, subgraphs, components, distances."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from lexnet.errors import (
     DuplicateLabelError,
@@ -10,9 +11,18 @@ from lexnet.errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-from lexnet.graph import DiGraph, NodeLabel, UGraph, bfs, digraph_from_ugraph
+from lexnet.graph import DiGraph, NodeLabel, UGraph, digraph_from_ugraph, distance_counts
+from lexnet.nullmodels import erdos_renyi_gnm
 
-from conftest import make_digraph, random_digraph
+from conftest import (
+    make_digraph,
+    make_ugraph,
+    random_digraph,
+    random_ugraph,
+    reference_bfs,
+    ugraphs,
+    union_find_components,
+)
 
 
 class TestConstruction:
@@ -213,38 +223,86 @@ class TestComponents:
             seen = [v for c in comps for v in c]
             assert sorted(seen) == list(range(9))
 
+    def test_ordered_by_smallest_node(self):
+        ug = make_ugraph("abcdef", [("a", "e"), ("b", "f"), ("c", "d")])
+        assert ug.connected_components() == [{0, 4}, {1, 5}, {2, 3}]
+
+    def test_matches_union_find(self):
+        rng = random.Random(29)
+        graphs = [random_ugraph(rng, n, m) for n, m in ((12, 5), (30, 20), (60, 70), (200, 150))]
+        graphs.append(erdos_renyi_gnm(20_000, 6_000, seed=29))
+        for ug in graphs:
+            comps = ug.connected_components()
+            assert {frozenset(c) for c in comps} == union_find_components(ug)
+            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+
+    @given(ugraphs())
+    @settings(max_examples=200, derandomize=True)
+    def test_matches_union_find_property(self, ug):
+        assert {frozenset(c) for c in ug.connected_components()} == union_find_components(ug)
+
+
+def _histograms(ug):
+    """Per node, the number of nodes at distance 1, 2, ... by one search each."""
+    adj = ug.adjacency()
+    rows = []
+    for source in ug.node_ids():
+        dist = reference_bfs(adj, source)[1]
+        rows.append([dist.count(d) for d in range(1, max(dist) + 1)])
+    return rows
+
+
+def _mask(nodes):
+    return sum(1 << v for v in nodes)
+
 
 class TestBfs:
-    def test_path(self):
-        from conftest import make_ugraph
+    """distance_counts: the breadth-first search from every source at once."""
 
+    def test_path(self):
         ug = make_ugraph("abc", [("a", "b"), ("b", "c")])
-        assert bfs(ug.adjacency(), 0) == ([0, 1, 2], [0, 1, 2])
+        assert distance_counts(ug.adjacency()) == ([[1, 1], [2], [1, 1]], [0b111] * 3)
 
     def test_isolated_source(self):
-        from conftest import make_ugraph
-
         ug = make_ugraph("abc", [("a", "b")])
-        assert bfs(ug.adjacency(), 2) == ([2], [-1, -1, 0])
+        counts, reach = distance_counts(ug.adjacency())
+        assert counts[2] == [] and reach[2] == 0b100
+        assert counts[0] == counts[1] == [1] and reach[0] == reach[1] == 0b011
 
     def test_bridge_fixture_from_a(self, bridge_ugraph):
-        order, dist = bfs(bridge_ugraph.adjacency(), 0)
-        by_slug = {bridge_ugraph.slug(v): d for v, d in enumerate(dist)}
-        assert by_slug == {"a": 0, "b": 1, "c": 1, "d": 2, "e": 3, "f": 3}
-        assert [dist[v] for v in order] == sorted(dist)
+        counts, reach = distance_counts(bridge_ugraph.adjacency())
+        # from a: b, c at 1; d at 2; e, f at 3
+        assert counts[0] == [2, 1, 2]
+        assert set(reach) == {0b111111}
 
     def test_neighbor_distances_differ_by_at_most_one(self):
+        # adjacent nodes share a component and their eccentricities differ by <= 1
         rng = random.Random(17)
         for _ in range(20):
             g = random_digraph(rng, 9, rng.randint(2, 18))
             ug = g.undirected_projection()
-            order, dist = bfs(ug.adjacency(), rng.randrange(9))
-            assert sorted(order) == [v for v, d in enumerate(dist) if d >= 0]
+            counts, reach = distance_counts(ug.adjacency())
             for u, v in ug.edges():
-                if dist[u] >= 0 and dist[v] >= 0:
-                    assert abs(dist[u] - dist[v]) <= 1
-                else:
-                    assert dist[u] == dist[v] == -1
+                assert reach[u] == reach[v]
+                assert abs(len(counts[u]) - len(counts[v])) <= 1
+
+    def test_matches_per_source_search(self):
+        rng = random.Random(19)
+        for _ in range(30):
+            n = rng.randint(2, 40)
+            ug = random_ugraph(rng, n, rng.randint(1, min(2 * n, n * (n - 1) // 2)))
+            counts, reach = distance_counts(ug.adjacency())
+            assert counts == _histograms(ug)
+            component = {v: c for c in union_find_components(ug) for v in c}
+            assert reach == [_mask(component[v]) for v in ug.node_ids()]
+
+    @given(ugraphs())
+    @settings(max_examples=200, derandomize=True)
+    def test_matches_per_source_search_property(self, ug):
+        counts, reach = distance_counts(ug.adjacency())
+        assert counts == _histograms(ug)
+        adj = ug.adjacency()
+        assert reach == [_mask(reference_bfs(adj, v)[0]) for v in ug.node_ids()]
 
 
 def test_digraph_from_ugraph_one_arc_per_edge(bridge_ugraph):

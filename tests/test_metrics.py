@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from lexnet.errors import BadKError, DegenerateGraphError, UndefinedCoefficientError
 from lexnet.metrics import (
@@ -17,11 +18,13 @@ from lexnet.metrics import (
     global_clustering,
     harmonic_closeness_scores,
     normalized_rich_club,
+    phi_table,
     rich_club_coefficient,
     rich_club_members,
     top_cited,
     top_citing,
 )
+from lexnet.nullmodels import erdos_renyi_gnm, watts_strogatz
 
 from conftest import (
     brute_force_betweenness,
@@ -30,7 +33,39 @@ from conftest import (
     make_ugraph,
     random_digraph,
     random_ugraph,
+    reference_average_path_length,
+    reference_harmonic_closeness,
+    ugraphs,
 )
+
+
+def _shaped_graphs():
+    """Graphs whose shape stresses the distance sweep, by name."""
+    return {
+        "single": make_ugraph("a", []),
+        "pair": make_ugraph("ab", [("a", "b")]),
+        "pair_apart": make_ugraph("ab", []),
+        "edgeless": make_ugraph("abcde", []),
+        "path": make_ugraph("abcdefg", list(zip("abcdef", "bcdefg"))),
+        "star": make_ugraph("habcde", [("h", x) for x in "abcde"]),
+        "complete": make_ugraph("abcdef", [(a, b) for a in "abcdef" for b in "abcdef" if a < b]),
+        "isolated_nodes": make_ugraph("abcdef", [("b", "c"), ("c", "d")]),
+        "disconnected": make_ugraph("abcdefg", [("a", "b"), ("c", "d"), ("d", "e"), ("f", "g")]),
+        # two largest components of three nodes; the one holding node 0 counts
+        "tied_largest": make_ugraph("abcdefg", [("e", "f"), ("f", "g"), ("a", "b"), ("a", "c")]),
+        "tied_largest_shapes": make_ugraph("abcdefgh", [("a", "b"), ("b", "c"), ("c", "d"),
+                                                        ("e", "f"), ("e", "g"), ("e", "h")]),
+    }
+
+
+def _seeded_graphs():
+    rng = random.Random(71)
+    graphs = [random_ugraph(rng, n, rng.randint(1, min(2 * n, n * (n - 1) // 2)))
+              for n in range(2, 41) for _ in range(2)]
+    graphs.append(erdos_renyi_gnm(300, 900, seed=71))
+    graphs.append(erdos_renyi_gnm(400, 150, seed=71))
+    graphs.append(watts_strogatz(200, 6, 0.05, seed=71))
+    return graphs
 
 
 class TestDensity:
@@ -229,6 +264,30 @@ class TestRichClubCoefficient:
                 assert rich_club_coefficient(ug, k) == rich_club_coefficient(relabeled, k)
 
 
+class TestPhiTable:
+    @staticmethod
+    def per_k(ug):
+        max_deg = max(ug.degree(v) for v in ug.node_ids())
+        return {k: rich_club_coefficient(ug, k) for k in range(max_deg + 1)}
+
+    def test_matches_rich_club_coefficient(self):
+        for ug in _seeded_graphs():
+            assert phi_table(ug) == self.per_k(ug)
+
+    @given(ugraphs())
+    @settings(max_examples=200, derandomize=True)
+    def test_matches_rich_club_coefficient_property(self, ug):
+        assert phi_table(ug) == self.per_k(ug)
+
+    def test_edgeless_has_only_k_zero(self):
+        assert phi_table(make_ugraph("abc", [])) == {0: None}
+
+    def test_star(self):
+        # k=0: all five nodes, 4 of 10 pairs linked; k>=1 leaves the hub alone
+        ug = make_ugraph("habcd", [("h", x) for x in "abcd"])
+        assert phi_table(ug) == {0: 0.4, 1: None, 2: None, 3: None, 4: None}
+
+
 class TestNormalizedRichClub:
     def test_bridge_fixture_norm_above_one(self, bridge_ugraph):
         result = normalized_rich_club(bridge_ugraph, 2, samples=200, seed=7)
@@ -291,6 +350,29 @@ class TestPathLength:
         with pytest.raises(DegenerateGraphError):
             average_path_length(UGraph(["a"]))
 
+    def test_tied_largest_components_pick_the_smallest_node(self):
+        # a-b-c-d (mean 5/3) and a star on e (mean 3/2): both have 4 nodes
+        ug = _shaped_graphs()["tied_largest_shapes"]
+        assert average_path_length(ug).average == 10 / 6
+
+    @pytest.mark.parametrize("name", sorted(set(_shaped_graphs()) - {"single"}))
+    def test_matches_per_source_search_on_shapes(self, name):
+        ug = _shaped_graphs()[name]
+        assert tuple(average_path_length(ug)) == reference_average_path_length(ug)
+
+    def test_matches_per_source_search_on_seeded_graphs(self):
+        for ug in _seeded_graphs():
+            assert tuple(average_path_length(ug)) == reference_average_path_length(ug)
+
+    @given(ugraphs())
+    @settings(max_examples=200, derandomize=True)
+    def test_matches_per_source_search_property(self, ug):
+        if ug.node_count < 2:
+            with pytest.raises(DegenerateGraphError):
+                average_path_length(ug)
+        else:
+            assert tuple(average_path_length(ug)) == reference_average_path_length(ug)
+
 
 class TestCentrality:
     def test_star_hub_betweenness_maximal(self):
@@ -326,6 +408,20 @@ class TestCentrality:
             g = random_digraph(rng, 8, 16)
             scores = harmonic_closeness_scores(g.undirected_projection())
             assert all(0.0 <= v <= 1.0 for v in scores)
+
+    @pytest.mark.parametrize("name", sorted(_shaped_graphs()))
+    def test_closeness_matches_per_source_search_on_shapes(self, name):
+        ug = _shaped_graphs()[name]
+        assert harmonic_closeness_scores(ug) == reference_harmonic_closeness(ug)
+
+    def test_closeness_matches_per_source_search_on_seeded_graphs(self):
+        for ug in _seeded_graphs():
+            assert harmonic_closeness_scores(ug) == reference_harmonic_closeness(ug)
+
+    @given(ugraphs())
+    @settings(max_examples=200, derandomize=True)
+    def test_closeness_matches_per_source_search_property(self, ug):
+        assert harmonic_closeness_scores(ug) == reference_harmonic_closeness(ug)
 
     def test_degree_centrality(self):
         g = make_digraph("abc", [("a", "b"), ("b", "a"), ("a", "c")])
