@@ -53,11 +53,10 @@ from .nullmodels import (
     erdos_renyi_gnm,
     watts_strogatz,
 )
-from .report import AnalysisReport, parse_edge_list, read_report, write_dot, write_graphml, write_report
+from .report import parse_edge_list, read_report, write_dot, write_graphml, write_report
 
 __all__ = [
     "__version__",
-    "AnalysisReport",
     "Assessment",
     "CodeDocument",
     "CodeRegistry",

@@ -198,12 +198,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     nodes_text = _read_text(args.nodes) if args.nodes else None
     graph = parse_edge_list(_read_text(args.edges), nodes_text)
     report = read_report(_read_text(args.report))
-    roles = {slug: entry["role"] for slug, entry in report.roles.items()}
-    rich_club = {
-        "top_citing": report.rich_club["top_citing"],
-        "top_cited": report.rich_club["top_cited"],
-    }
-    communities = report.communities.get("assignment", {})
+    roles = {slug: entry["role"] for slug, entry in report["roles"].items()}
+    rich_club = report["rich_club"]
+    communities = report["communities"].get("assignment", {})
     if args.dot:
         _write_text(args.dot, write_dot(graph, roles, rich_club, communities))
     if args.graphml:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
@@ -33,24 +34,27 @@ class PipelineConfig:
     sparse_sigma: float = 2.0
 
     def validate(self) -> None:
-        counts = {
-            "k_citing": self.k_citing,
-            "k_cited": self.k_cited,
-            "min_community_size": self.min_community_size,
-            "null_samples": self.null_samples,
-            "rewire_budget_factor": self.rewire_budget_factor,
-        }
-        for name, value in counts.items():
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not 0.0 <= self.ws_p <= 1.0:
+        """Check every field's type and range.
+
+        A config file is JSON, which can spell true, NaN and Infinity: a
+        bool is neither an integer nor a number here, and floats must be
+        finite.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                if f.name != "seed" and value < 1:
+                    raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
+            else:
+                finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+                if isinstance(value, bool) or not finite:
+                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+                if value < 0:
+                    raise ConfigError(f"{f.name} must be non-negative, got {value!r}")
+        if self.ws_p > 1:
             raise ConfigError(f"ws_p must be in [0, 1], got {self.ws_p!r}")
-        for name in ("degree_fraction", "transitivity_factor", "path_length_factor", "sparse_sigma"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ConfigError(f"{name} must be non-negative, got {value!r}")
 
     def thresholds(self) -> AssessmentThresholds:
         return AssessmentThresholds(
@@ -86,7 +90,7 @@ def load_config(text: str | None, overrides: Mapping[str, Any] | None = None) ->
     if text is not None:
         try:
             loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or an integer too long to convert
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")

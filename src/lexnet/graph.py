@@ -1,7 +1,8 @@
 """Directed citation graphs and the primitive algorithms built on them.
 
-Nodes are dense integers ``0..n-1``; each carries a :class:`NodeLabel`
-whose slug is unique within the graph. A directed arc ``x -> y`` means
+Nodes are dense integers ``0..n-1``. Each node of a :class:`DiGraph`
+carries a :class:`NodeLabel` whose slug is unique within the graph; an
+undirected :class:`UGraph` is unlabeled. A directed arc ``x -> y`` means
 "x cites y" and stores the citation count as its weight; self-loops are
 rejected at insertion. Construction mutates, after which analysis code
 treats graphs as read-only values.
@@ -34,20 +35,6 @@ class NodeLabel:
             raise ValueError("slug must be non-empty")
         if not self.display_name:
             object.__setattr__(self, "display_name", self.slug)
-
-
-def _index_labels(labels: Sequence[NodeLabel | str]) -> tuple[tuple[NodeLabel, ...], dict[str, int]]:
-    if not labels:
-        raise EmptyNodeSetError("a graph needs at least one node")
-    resolved = tuple(
-        lab if isinstance(lab, NodeLabel) else NodeLabel(lab) for lab in labels
-    )
-    index: dict[str, int] = {}
-    for i, lab in enumerate(resolved):
-        if lab.slug in index:
-            raise DuplicateLabelError(f"slug {lab.slug!r} appears twice")
-        index[lab.slug] = i
-    return resolved, index
 
 
 def distance_counts(adj: Sequence[Iterable[int]]) -> tuple[list[list[int]], list[int]]:
@@ -105,7 +92,14 @@ class DiGraph:
     __slots__ = ("_labels", "_slug_to_id", "_succ", "_pred", "_arc_count")
 
     def __init__(self, labels: Sequence[NodeLabel | str]):
-        self._labels, self._slug_to_id = _index_labels(labels)
+        if not labels:
+            raise EmptyNodeSetError("a graph needs at least one node")
+        self._labels = tuple(lab if isinstance(lab, NodeLabel) else NodeLabel(lab) for lab in labels)
+        self._slug_to_id: dict[str, int] = {}
+        for i, lab in enumerate(self._labels):
+            if lab.slug in self._slug_to_id:
+                raise DuplicateLabelError(f"slug {lab.slug!r} appears twice")
+            self._slug_to_id[lab.slug] = i
         n = len(self._labels)
         self._succ: list[dict[int, int]] = [dict() for _ in range(n)]
         self._pred: list[set[int]] = [set() for _ in range(n)]
@@ -217,41 +211,42 @@ class DiGraph:
         return reduced, mapping
 
     def undirected_projection(self) -> "UGraph":
-        """Forget direction and weight: {u,v} present iff u->v or v->u."""
-        ug = UGraph(self._labels)
+        """Forget direction and weight: {u,v} present iff u->v or v->u.
+
+        The projection keeps the node ids; their labels stay on this digraph.
+        """
+        ug = UGraph(len(self._labels))
         for s in range(len(self._labels)):
             for t in self._succ[s]:
                 ug.add_edge(s, t)
         return ug
 
+
 class UGraph:
-    """Simple undirected graph used for clustering, paths and modularity."""
+    """Simple undirected graph on the unlabeled nodes ``0..n-1``.
 
-    __slots__ = ("_labels", "_slug_to_id", "_adj", "_edge_count")
+    Used for clustering, paths and modularity; slugs are looked up on the
+    digraph that a graph was projected from.
+    """
 
-    def __init__(self, labels: Sequence[NodeLabel | str]):
-        self._labels, self._slug_to_id = _index_labels(labels)
-        self._adj: list[set[int]] = [set() for _ in range(len(self._labels))]
+    __slots__ = ("_adj", "_edge_count")
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise EmptyNodeSetError("a graph needs at least one node")
+        self._adj: list[set[int]] = [set() for _ in range(n)]
         self._edge_count = 0
 
     @property
     def node_count(self) -> int:
-        return len(self._labels)
-
-    @property
-    def labels(self) -> tuple[NodeLabel, ...]:
-        return self._labels
+        return len(self._adj)
 
     def node_ids(self) -> range:
-        return range(len(self._labels))
-
-    def slug(self, v: NodeId) -> str:
-        self._check(v)
-        return self._labels[v].slug
+        return range(len(self._adj))
 
     def _check(self, v: NodeId) -> None:
-        if not isinstance(v, int) or v < 0 or v >= len(self._labels):
-            raise UnknownNodeError(f"node id {v!r} outside 0..{len(self._labels) - 1}")
+        if not isinstance(v, int) or v < 0 or v >= len(self._adj):
+            raise UnknownNodeError(f"node id {v!r} outside 0..{len(self._adj) - 1}")
 
     @property
     def edge_count(self) -> int:
@@ -296,7 +291,7 @@ class UGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u in range(len(self._labels)):
+        for u in range(len(self._adj)):
             for v in sorted(self._adj[u]):
                 if v > u:
                     yield u, v
@@ -325,9 +320,12 @@ def digraph_from_ugraph(ug: UGraph) -> DiGraph:
 
     This is the canonical injection used when feeding undirected baseline
     graphs (Watts-Strogatz, Erdos-Renyi) into analyses defined on digraphs:
-    no reciprocal arcs are invented, so arc counts equal edge counts.
+    no reciprocal arcs are invented, so arc counts equal edge counts. Node
+    v is labeled ``v<i>``, zero-padded to one width so that slug order,
+    which breaks rank ties, is node order.
     """
-    g = DiGraph(ug.labels)
+    width = len(str(ug.node_count - 1))
+    g = DiGraph([f"v{i:0{width}d}" for i in ug.node_ids()])
     for u, v in ug.edges():
         g.add_edge(u, v)
     return g

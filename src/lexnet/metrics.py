@@ -8,7 +8,6 @@ explicitly weighted variants.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -296,40 +295,42 @@ def average_path_length(ug: UGraph) -> PathSummary:
 
 
 def betweenness_scores(ug: UGraph) -> list[float]:
-    """Shortest-path betweenness via per-source BFS accumulation.
+    """Shortest-path betweenness via per-source BFS accumulation (Brandes 2001).
 
     Values are the fraction of pair shortest paths passing through each
-    node, i.e. the pair sums normalized by (n-1)(n-2)/2.
+    node, i.e. the pair sums normalized by (n-1)(n-2)/2. The visiting
+    order serves as the queue and, reversed, as the stack; a predecessor
+    of w is any neighbor one step nearer the source, so none are stored.
     """
     n = ug.node_count
     adj = [sorted(nbrs) for nbrs in ug.adjacency()]
     raw = [0.0] * n
     for s in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
         sigma = [0.0] * n
         dist = [-1] * n
         sigma[s] = 1.0
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
+        order = [s]
+        for v in order:  # the loop also visits the nodes appended below
+            farther = dist[v] + 1
+            paths = sigma[v]
             for w in adj[v]:
                 if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
+                    dist[w] = farther
+                    order.append(w)
+                    sigma[w] += paths
+                elif dist[w] == farther:
+                    sigma[w] += paths
         delta = [0.0] * n
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+        for w in reversed(order):
+            nearer = dist[w] - 1
+            paths = sigma[w]
+            share = 1.0 + delta[w]
+            for v in adj[w]:
+                if dist[v] == nearer:
+                    delta[v] += sigma[v] / paths * share
             if w != s:
                 raw[w] += delta[w]
-        del preds
     if n < 3:
         return [0.0] * n
     norm = (n - 1) * (n - 2)  # raw counts ordered pairs, i.e. twice the unordered sum

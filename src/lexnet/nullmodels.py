@@ -20,7 +20,7 @@ from .errors import (
     TooManyEdgesError,
     UndefinedCoefficientError,
 )
-from .graph import DiGraph, NodeLabel, UGraph
+from .graph import DiGraph, UGraph
 from .metrics import (
     RichClub,
     average_path_length,
@@ -31,11 +31,6 @@ from .metrics import (
 from .seeding import derive_seed
 
 
-def _generic_labels(n: int) -> list[NodeLabel]:
-    width = max(1, len(str(n - 1)))
-    return [NodeLabel(f"v{i:0{width}d}") for i in range(n)]
-
-
 def erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
     """Uniform simple graph with exactly n nodes and m edges."""
     max_edges = n * (n - 1) // 2
@@ -44,7 +39,7 @@ def erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
     if m < 0:
         raise ValueError("m must be non-negative")
     rng = random.Random(seed)
-    ug = UGraph(_generic_labels(n))
+    ug = UGraph(n)
     if m == 0:
         return ug
     if max_edges <= 4 * m:
@@ -76,7 +71,7 @@ def watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = random.Random(seed)
-    ug = UGraph(_generic_labels(n))
+    ug = UGraph(n)
     half = k_even // 2
     for j in range(1, half + 1):
         for i in range(n):
@@ -134,7 +129,7 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
         adj[b].add(c)
         edges[i] = (a, d) if a < d else (d, a)
         edges[j] = (c, b) if c < b else (b, c)
-    result = UGraph(ug.labels)
+    result = UGraph(ug.node_count)
     for u, v in edges:
         result.add_edge(u, v)
     return result

@@ -10,7 +10,7 @@ other sections were computed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
@@ -30,12 +30,12 @@ from .metrics import (
     top_citing,
 )
 from .nullmodels import club_cohesion, concentrated_world_assessment
-from .report import SCHEMA_VERSION, AnalysisReport
+from .report import SCHEMA_VERSION, SECTION_TYPES
 from .seeding import derive_seed
 
 
 # Every report section but schema_version, in report order.
-REPORT_SECTIONS = tuple(f.name for f in fields(AnalysisReport) if f.name != "schema_version")
+REPORT_SECTIONS = tuple(SECTION_TYPES)
 
 
 def build_graph_summary(g: DiGraph, ug: UGraph) -> dict:
@@ -223,7 +223,7 @@ def analyze_graph(
     config: PipelineConfig,
     inputs: Sequence[str] = (),
     run_id: str = "",
-) -> AnalysisReport:
-    """Run every analysis and assemble the full report."""
+) -> dict:
+    """Run every analysis and assemble the full report payload."""
     sections = build_sections(g, config, REPORT_SECTIONS, inputs, run_id)
-    return AnalysisReport(schema_version=SCHEMA_VERSION, **sections)
+    return {"schema_version": SCHEMA_VERSION, **sections}

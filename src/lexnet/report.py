@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Any, Collection, Mapping
 from xml.sax.saxutils import escape, quoteattr
 
@@ -23,6 +23,7 @@ from .errors import (
     SelfLoopLineError,
 )
 from .graph import DiGraph, NodeLabel
+from .metrics import Role
 from .nullmodels import NullModelStats
 
 SCHEMA_VERSION = 1
@@ -94,7 +95,7 @@ def write_node_sidecar(slugs: Collection[str]) -> str:
 # -- DOT and GraphML ------------------------------------------------------------------
 
 
-def _club_shapes(g: DiGraph, rich_club: Mapping[str, Collection[str]] | None) -> dict[str, str]:
+def _club_shapes(g: DiGraph, rich_club: Mapping[str, Any] | None) -> dict[str, str]:
     citing = set(rich_club.get("top_citing", ())) if rich_club else set()
     cited = set(rich_club.get("top_cited", ())) if rich_club else set()
     for slug in citing | cited:
@@ -135,13 +136,15 @@ def _check_annotations(
 def write_dot(
     g: DiGraph,
     roles: Mapping[str, str],
-    rich_club: Mapping[str, Collection[str]] | None = None,
+    rich_club: Mapping[str, Any] | None = None,
     communities: Mapping[str, int] | None = None,
 ) -> str:
     """Directed DOT text with the figure's shape convention.
 
-    Shapes encode rich-club membership: square for top-citing only, circle
-    for top-cited only, hexagon for both, diamond otherwise. Community
+    Shapes encode rich-club membership (the ``top_citing`` and
+    ``top_cited`` lists of a report's rich_club section): square for
+    top-citing only, circle for top-cited only, hexagon for both, diamond
+    otherwise. Community
     indices are emitted as a ``cluster`` attribute; no layout hints are
     produced. Output is byte-stable for identical inputs.
     """
@@ -173,7 +176,7 @@ _GRAPHML_NODE_KEYS = (
 def write_graphml(
     g: DiGraph,
     roles: Mapping[str, str],
-    rich_club: Mapping[str, Collection[str]] | None = None,
+    rich_club: Mapping[str, Any] | None = None,
     communities: Mapping[str, int] | None = None,
 ) -> str:
     """GraphML 1.0 document with role/degree/community node annotations."""
@@ -261,38 +264,10 @@ def canonical_json(value: Any, indent: int = 0) -> str:
     raise ValueError(f"unsupported report value {value!r}")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """The full serializable analysis result, section by section."""
-
-    schema_version: int
-    graph_summary: dict
-    roles: dict
-    rankings: dict
-    rich_club: dict
-    centrality: dict
-    communities: dict
-    baselines: list
-    assessment: dict
-    provenance: dict
-
-    def to_payload(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "graph_summary": self.graph_summary,
-            "roles": self.roles,
-            "rankings": self.rankings,
-            "rich_club": self.rich_club,
-            "centrality": self.centrality,
-            "communities": self.communities,
-            "baselines": self.baselines,
-            "assessment": self.assessment,
-            "provenance": self.provenance,
-        }
-
-
-_SECTION_TYPES = {
-    "schema_version": int,
+# The report's sections in report order, each with its JSON type. A report
+# is {"schema_version": SCHEMA_VERSION, **sections}; no other list of the
+# sections exists.
+SECTION_TYPES = {
     "graph_summary": dict,
     "roles": dict,
     "rankings": dict,
@@ -306,6 +281,8 @@ _SECTION_TYPES = {
 
 _GRAPH_SUMMARY_KEYS = ("n", "arcs", "undirected_edges", "density")
 _ROLE_KEYS = ("in_degree", "out_degree", "total_degree", "role")
+_ROLES = tuple(role.value for role in Role)
+_CLUB_KEYS = ("members", "top_citing", "top_cited", "internal_density", "quotation_capture")
 _ASSESSMENT_KEYS = (
     "observed",
     "density_ratio_vs_er",
@@ -321,10 +298,13 @@ def validate_report_payload(payload: Any) -> None:
     """Raise SchemaViolationError (with a JSON path) on structural problems."""
     if not isinstance(payload, dict):
         raise SchemaViolationError("$", "report must be a JSON object")
-    for key, expected in _SECTION_TYPES.items():
+    version = payload.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # neither true nor 1.0
+        raise SchemaViolationError("$.schema_version", f"expected schema version {SCHEMA_VERSION}")
+    for key, expected in SECTION_TYPES.items():
         if key not in payload:
             raise SchemaViolationError(f"$.{key}", "missing required section")
-        if not isinstance(payload[key], expected) or isinstance(payload[key], bool):
+        if not isinstance(payload[key], expected):
             raise SchemaViolationError(f"$.{key}", f"expected {expected.__name__}")
     summary = payload["graph_summary"]
     for key in _GRAPH_SUMMARY_KEYS:
@@ -339,16 +319,21 @@ def validate_report_payload(payload: Any) -> None:
         for key in _ROLE_KEYS:
             if key not in entry:
                 raise SchemaViolationError(f"$.roles.{slug}.{key}", "missing field")
+        if entry["role"] not in _ROLES:
+            raise SchemaViolationError(f"$.roles.{slug}.role", f"expected one of {list(_ROLES)}")
     for section in ("top_citing", "top_cited"):
         if section not in payload["rankings"]:
             raise SchemaViolationError(f"$.rankings.{section}", "missing field")
     club = payload["rich_club"]
-    for key in ("members", "internal_density", "quotation_capture"):
+    for key in _CLUB_KEYS:
         if key not in club:
             raise SchemaViolationError(f"$.rich_club.{key}", "missing field")
-    for slug in club["members"]:
-        if slug not in node_slugs:
-            raise SchemaViolationError(f"$.rich_club.members.{slug}", "unknown slug")
+    for key in ("members", "top_citing", "top_cited"):
+        if not isinstance(club[key], list):
+            raise SchemaViolationError(f"$.rich_club.{key}", "expected list")
+        for i, slug in enumerate(club[key]):
+            if not isinstance(slug, str) or slug not in node_slugs:
+                raise SchemaViolationError(f"$.rich_club.{key}[{i}]", "unknown slug")
     for kind in _CENTRALITY_KINDS:
         scores = payload["centrality"].get(kind)
         if not isinstance(scores, dict) or set(scores) != node_slugs:
@@ -366,35 +351,34 @@ def validate_report_payload(payload: Any) -> None:
     for key in _ASSESSMENT_KEYS:
         if key not in assessment:
             raise SchemaViolationError(f"$.assessment.{key}", "missing field")
+    communities = payload["communities"]
     for key in ("q", "main", "residual", "min_size"):
-        if key not in payload["communities"]:
+        if key not in communities:
             raise SchemaViolationError(f"$.communities.{key}", "missing field")
+    assignment = communities.get("assignment", {})
+    if not isinstance(assignment, dict):
+        raise SchemaViolationError("$.communities.assignment", "expected object")
+    for slug, index in assignment.items():
+        if slug not in node_slugs or isinstance(index, bool) or not isinstance(index, int):
+            raise SchemaViolationError(
+                f"$.communities.assignment.{slug}", "expected a node slug mapped to an integer"
+            )
     for key in ("config_digest", "seed", "tool_version", "run_id"):
         if key not in payload["provenance"]:
             raise SchemaViolationError(f"$.provenance.{key}", "missing field")
 
 
-def write_report(report: AnalysisReport) -> str:
-    payload = report.to_payload()
-    validate_report_payload(payload)
-    return canonical_json(payload) + "\n"
+def write_report(report: dict) -> str:
+    """Validate a report payload and serialize it canonically."""
+    validate_report_payload(report)
+    return canonical_json(report) + "\n"
 
 
-def read_report(text: str) -> AnalysisReport:
+def read_report(text: str) -> dict:
+    """Parse and validate a report: the inverse of :func:`write_report`."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer too long to convert
         raise SchemaViolationError("$", f"not valid JSON: {exc}") from exc
     validate_report_payload(payload)
-    return AnalysisReport(
-        schema_version=payload["schema_version"],
-        graph_summary=payload["graph_summary"],
-        roles=payload["roles"],
-        rankings=payload["rankings"],
-        rich_club=payload["rich_club"],
-        centrality=payload["centrality"],
-        communities=payload["communities"],
-        baselines=payload["baselines"],
-        assessment=payload["assessment"],
-        provenance=payload["provenance"],
-    )
+    return payload

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,7 @@ from lexnet.graph import DiGraph, NodeLabel, UGraph
 def ugraphs(draw, max_nodes: int = 12) -> UGraph:
     """Hypothesis strategy: small simple graphs, often disconnected."""
     n = draw(st.integers(1, max_nodes))
-    ug = UGraph([f"n{i:02d}" for i in range(n)])
+    ug = UGraph(n)
     node = st.integers(0, n - 1)
     for u, v in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
         if u != v:
@@ -37,8 +38,8 @@ def make_digraph(slugs, arcs):
 
 
 def make_ugraph(slugs, edges):
-    ug = UGraph([NodeLabel(s) for s in slugs])
-    index = {ug.slug(v): v for v in ug.node_ids()}
+    ug = UGraph(len(slugs))
+    index = {slug: v for v, slug in enumerate(slugs)}
     for u, v in edges:
         ug.add_edge(index[u] if isinstance(u, str) else u, index[v] if isinstance(v, str) else v)
     return ug
@@ -63,7 +64,7 @@ def random_ugraph(rng: random.Random, n: int, m: int | None = None) -> UGraph:
     pairs = list(combinations(range(n), 2))
     if m is None:
         m = rng.randint(1, len(pairs))
-    ug = UGraph([f"n{i:02d}" for i in range(n)])
+    ug = UGraph(n)
     for u, v in rng.sample(pairs, m):
         ug.add_edge(u, v)
     return ug
@@ -119,6 +120,46 @@ def _all_simple_paths(ug: UGraph, s: int, t: int) -> list[tuple[int, ...]]:
             if w not in path:
                 stack.append((w, path + (w,)))
     return paths
+
+
+def reference_betweenness(ug: UGraph) -> list[float]:
+    """Brandes betweenness with stored predecessor lists and an explicit stack.
+
+    The same float operations in the same order as the implementation
+    under test, which recognizes predecessors by distance instead.
+    """
+    n = ug.node_count
+    adj = [sorted(nbrs) for nbrs in ug.adjacency()]
+    raw = [0.0] * n
+    for s in range(n):
+        stack: list[int] = []
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
+        dist = [-1] * n
+        sigma[s] = 1.0
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                raw[w] += delta[w]
+    if n < 3:
+        return [0.0] * n
+    norm = (n - 1) * (n - 2)
+    return [b / norm for b in raw]
 
 
 def reference_bfs(adj, source: int) -> tuple[list[int], list[int]]:
@@ -197,6 +238,41 @@ def brute_force_phi(ug: UGraph, k: int) -> float | None:
     internal = sum(1 for u, v in combinations(rich, 2) if ug.has_edge(u, v))
     possible = len(rich) * (len(rich) - 1) // 2
     return internal / possible
+
+
+# Report defects that export would otherwise crash on, or carry into its
+# output: (keys down to the corrupted field, its new value or DELETE, the
+# JSON path the schema violation names). The slug is a fixture code.
+DELETE = object()
+REPORT_DEFECTS = [
+    pytest.param(("rich_club", "members"), 5, "$.rich_club.members", id="members-not-a-list"),
+    pytest.param(("rich_club", "members"), [["sante_publique"]], "$.rich_club.members[0]",
+                 id="member-is-a-list"),
+    pytest.param(("rich_club", "top_citing"), DELETE, "$.rich_club.top_citing", id="no-top-citing"),
+    pytest.param(("rich_club", "top_cited"), 7, "$.rich_club.top_cited", id="top-cited-not-a-list"),
+    pytest.param(("roles", "sante_publique", "role"), 3, "$.roles.sante_publique.role",
+                 id="role-not-a-string"),
+    pytest.param(("roles", "sante_publique", "role"), "hub", "$.roles.sante_publique.role",
+                 id="unknown-role"),
+    pytest.param(("communities", "assignment"), [0, 1], "$.communities.assignment",
+                 id="assignment-not-an-object"),
+    pytest.param(("communities", "assignment", "not_a_code"), 0,
+                 "$.communities.assignment.not_a_code", id="assignment-unknown-slug"),
+    pytest.param(("communities", "assignment", "sante_publique"), "0",
+                 "$.communities.assignment.sante_publique", id="assignment-not-an-int"),
+    pytest.param(("schema_version",), 99, "$.schema_version", id="future-schema-version"),
+]
+
+
+def corrupt(payload: dict, keys: tuple, value) -> None:
+    """Set (or, for DELETE, remove) the field at keys in payload, in place."""
+    *parents, last = keys
+    for key in parents:
+        payload = payload[key]
+    if value is DELETE:
+        del payload[last]
+    else:
+        payload[last] = value
 
 
 def assess(g: DiGraph, club, samples: int, seed: int, **kwargs):

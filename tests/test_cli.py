@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +11,12 @@ import pytest
 import lexnet
 import lexnet.nullmodels
 import lexnet.pipeline
-from lexnet.cli import run
+from lexnet.cli import main, run
 from lexnet.graph import DiGraph
+
+from conftest import REPORT_DEFECTS, corrupt
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # sha256 of each command's output on the bundled fixture at the default
 # config, run from one working directory with relative input paths (the
@@ -217,6 +223,13 @@ class TestExport:
         ) == 2
 
 
+@pytest.fixture(scope="module")
+def report_payload(extracted, tmp_path_factory):
+    out = tmp_path_factory.mktemp("report") / "report.json"
+    assert _analyze(extracted, out, "--null-samples", "2") == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, extracted, tmp_path, capsys):
         edges, nodes = extracted
@@ -250,6 +263,49 @@ class TestExitCodes:
         edges, nodes = extracted
         rc = run(["analyze", "--edges", str(edges), "--k-citing", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        ("text", "key"),
+        [
+            pytest.param('{"ws_p": "0.5"}', "ws_p", id="float-as-string"),
+            pytest.param('{"degree_fraction": NaN}', "degree_fraction", id="nan"),
+            pytest.param('{"transitivity_factor": Infinity}', "transitivity_factor", id="infinity"),
+            pytest.param('{"k_citing": true}', "k_citing", id="count-true"),
+            pytest.param('{"seed": true}', "seed", id="seed-true"),
+            pytest.param('{"seed": ' + "7" * 5000 + "}", "config file", id="integer-too-long"),
+        ],
+    )
+    def test_bad_config_file_value(self, extracted, tmp_path, capsys, text, key):
+        edges, nodes = extracted
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "never.json"
+        rc = run(["analyze", "--edges", str(edges), "--nodes", str(nodes),
+                  "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"lexnet: configuration error: {key} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("keys", "value", "path"), REPORT_DEFECTS)
+    def test_malformed_report_on_export(
+        self, extracted, report_payload, tmp_path, capsys, keys, value, path
+    ):
+        edges, nodes = extracted
+        payload = json.loads(json.dumps(report_payload))
+        corrupt(payload, keys, value)
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(payload), encoding="utf-8")
+        dot = tmp_path / "g.dot"
+        graphml = tmp_path / "g.graphml"
+        rc = run(["export", "--edges", str(edges), "--nodes", str(nodes), "--report",
+                  str(report_path), "--dot", str(dot), "--graphml", str(graphml)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"lexnet: {path}: ")
+        assert not dot.exists() and not graphml.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "richclub", "communities", "nulls"])
     def test_k_larger_than_the_graph(self, command, tmp_path, capsys):
@@ -322,3 +378,22 @@ class TestWriteFailures:
 
 def test_every_public_name_resolves():
     assert [name for name in lexnet.__all__ if not hasattr(lexnet, name)] == []
+
+
+@pytest.mark.parametrize(("argv", "code"), [(["frobnicate"], 2), (["fixture", "--out-dir", "fx"], 0)])
+def test_script_entry_point_exits_with_the_run_code(argv, code, tmp_path, monkeypatch):
+    # main is what the installed `lexnet` script calls
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["lexnet", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    monkeypatch.chdir(tmp_path)
+    assert run(["fixture", "--out-dir", "demo"]) == 0
+    assert run(["extract", "--corpus", "demo/corpus", "--registry", "demo/registry.tsv",
+                "--out", "demo/edges.tsv", "--nodes-out", "demo/nodes.txt"]) == 0
+    exec(compile(block.group(1), str(README), "exec"), {})

@@ -310,3 +310,13 @@ def test_digraph_from_ugraph_one_arc_per_edge(bridge_ugraph):
     assert g.arc_count == bridge_ugraph.edge_count
     for s, t, w in g.arcs():
         assert s < t and w == 1
+
+
+@pytest.mark.parametrize("n", [1, 10, 11, 101])
+def test_digraph_from_ugraph_slugs_sort_in_node_order(n):
+    # rank ties among baseline nodes are broken by slug, so slug order must be id order
+    g = digraph_from_ugraph(UGraph(n))
+    slugs = [g.slug(v) for v in g.node_ids()]
+    assert slugs == sorted(slugs)
+    assert slugs[-1] == f"v{n - 1}"
+    assert len(set(map(len, slugs))) == 1

@@ -34,6 +34,7 @@ from conftest import (
     random_digraph,
     random_ugraph,
     reference_average_path_length,
+    reference_betweenness,
     reference_harmonic_closeness,
     ugraphs,
 )
@@ -348,7 +349,7 @@ class TestPathLength:
         from lexnet.graph import UGraph
 
         with pytest.raises(DegenerateGraphError):
-            average_path_length(UGraph(["a"]))
+            average_path_length(UGraph(1))
 
     def test_tied_largest_components_pick_the_smallest_node(self):
         # a-b-c-d (mean 5/3) and a star on e (mean 3/2): both have 4 nodes
@@ -401,6 +402,20 @@ class TestCentrality:
             actual = betweenness_scores(ug)
             for a, e in zip(actual, expected):
                 assert a == pytest.approx(e, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(_shaped_graphs()))
+    def test_betweenness_matches_stored_predecessors_on_shapes(self, name):
+        ug = _shaped_graphs()[name]
+        assert betweenness_scores(ug) == reference_betweenness(ug)
+
+    def test_betweenness_matches_stored_predecessors_on_seeded_graphs(self):
+        for ug in _seeded_graphs():
+            assert betweenness_scores(ug) == reference_betweenness(ug)
+
+    @given(ugraphs())
+    @settings(max_examples=200, derandomize=True)
+    def test_betweenness_matches_stored_predecessors_property(self, ug):
+        assert betweenness_scores(ug) == reference_betweenness(ug)
 
     def test_closeness_in_unit_interval(self):
         rng = random.Random(61)

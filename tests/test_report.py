@@ -27,7 +27,7 @@ from lexnet.report import (
     write_report,
 )
 
-from conftest import make_digraph
+from conftest import REPORT_DEFECTS, corrupt, make_digraph
 
 
 class TestParseEdgeList:
@@ -201,7 +201,7 @@ class TestReportRoundTrip:
         assert write_report(report) == write_report(report)
 
     def test_missing_section_rejected(self, report):
-        payload = report.to_payload()
+        payload = dict(report)
         del payload["roles"]
         with pytest.raises(SchemaViolationError) as exc:
             read_report(canonical_json(payload))
@@ -217,6 +217,17 @@ class TestReportRoundTrip:
     def test_not_json(self):
         with pytest.raises(SchemaViolationError):
             read_report("not json at all")
+
+    def test_integer_too_long_to_parse(self):
+        with pytest.raises(SchemaViolationError) as exc:
+            read_report('{"schema_version": ' + "1" * 5000 + "}")
+        assert exc.value.path == "$"
+
+    @pytest.mark.parametrize(("keys", "value", "path"), REPORT_DEFECTS)
+    def test_defect_rejected(self, report, keys, value, path):
+        payload = json.loads(write_report(report))
+        corrupt(payload, keys, value)
+        assert self._violation(payload) == path
 
     @staticmethod
     def _violation(payload) -> str:
