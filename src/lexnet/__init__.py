@@ -27,7 +27,7 @@ from .extraction import (
     load_registry,
     normalize_text,
 )
-from .graph import DiGraph, NodeLabel, UGraph, digraph_from_ugraph
+from .graph import DiGraph, UGraph, digraph_from_ugraph
 from .metrics import (
     RichClub,
     Role,
@@ -64,7 +64,6 @@ __all__ = [
     "DiGraph",
     "EdgeList",
     "Mention",
-    "NodeLabel",
     "NullModelStats",
     "Partition",
     "RichClub",

@@ -298,7 +298,7 @@ class CommunityReport:
 
 
 def reduced_network_partition(
-    g: DiGraph, rich_club: Iterable[int], min_size: int = 4
+    g: DiGraph, rich_club: Iterable[int], min_size: int
 ) -> CommunityReport:
     """Remove the rich club, project to undirected, and partition the rest.
 
@@ -310,7 +310,7 @@ def reduced_network_partition(
     reduced, _ = g.remove_nodes(club)
     ug = reduced.undirected_projection()
     partition = cnm_communities(ug)
-    slugs = tuple(lab.slug for lab in reduced.labels)
+    slugs = reduced.slugs
 
     groups = partition.communities()
     main = []

@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
 from .errors import ConfigError
-from .nullmodels import AssessmentThresholds
 
 
 @dataclass(frozen=True)
@@ -17,8 +16,9 @@ class PipelineConfig:
     """Everything the analysis pipeline can be steered with.
 
     The ranking sizes default to the five most-citing and six most-cited
-    codes; all thresholds of the concentrated-world rule live here rather
-    than in code.
+    codes. This is the one home of every analysis parameter: the cohesion
+    test, the baselines and the concentrated-world rule read theirs from
+    it, and no function repeats a default.
     """
 
     k_citing: int = 5
@@ -28,10 +28,10 @@ class PipelineConfig:
     seed: int = 42
     ws_p: float = 0.1
     rewire_budget_factor: int = 10
-    degree_fraction: float = 0.15
-    transitivity_factor: float = 2.5
-    path_length_factor: float = 1.5
-    sparse_sigma: float = 2.0
+    degree_fraction: float = 0.15  # concentrated: mean total degree >= fraction * (n-1)
+    transitivity_factor: float = 2.5  # small world: transitivity >= factor * ER mean
+    path_length_factor: float = 1.5  # small world: path length <= factor * ER mean
+    sparse_sigma: float = 2.0  # sparse-random: transitivity within sigma of ER
 
     def validate(self) -> None:
         """Check every field's type and range.
@@ -55,14 +55,6 @@ class PipelineConfig:
                     raise ConfigError(f"{f.name} must be non-negative, got {value!r}")
         if self.ws_p > 1:
             raise ConfigError(f"ws_p must be in [0, 1], got {self.ws_p!r}")
-
-    def thresholds(self) -> AssessmentThresholds:
-        return AssessmentThresholds(
-            degree_fraction=self.degree_fraction,
-            transitivity_factor=self.transitivity_factor,
-            path_length_factor=self.path_length_factor,
-            sparse_sigma=self.sparse_sigma,
-        )
 
     def to_mapping(self) -> dict[str, Any]:
         return asdict(self)

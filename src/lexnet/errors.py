@@ -12,7 +12,7 @@ class EmptyNodeSetError(LexnetError):
 
 
 class DuplicateLabelError(LexnetError):
-    """Two node labels share the same slug."""
+    """Two nodes share the same slug."""
 
 
 class SelfLoopError(LexnetError):

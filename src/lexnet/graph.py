@@ -1,8 +1,8 @@
 """Directed citation graphs and the primitive algorithms built on them.
 
 Nodes are dense integers ``0..n-1``. Each node of a :class:`DiGraph`
-carries a :class:`NodeLabel` whose slug is unique within the graph; an
-undirected :class:`UGraph` is unlabeled. A directed arc ``x -> y`` means
+carries a non-empty slug that is unique within the graph; an undirected
+:class:`UGraph` is unlabeled. A directed arc ``x -> y`` means
 "x cites y" and stores the citation count as its weight; self-loops are
 rejected at insertion. Construction mutates, after which analysis code
 treats graphs as read-only values.
@@ -10,7 +10,6 @@ treats graphs as read-only values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -21,20 +20,6 @@ from .errors import (
 )
 
 NodeId = int
-
-
-@dataclass(frozen=True)
-class NodeLabel:
-    """Identity of a node: a unique slug plus a human-readable name."""
-
-    slug: str
-    display_name: str = ""
-
-    def __post_init__(self):
-        if not self.slug:
-            raise ValueError("slug must be non-empty")
-        if not self.display_name:
-            object.__setattr__(self, "display_name", self.slug)
 
 
 def distance_counts(adj: Sequence[Iterable[int]]) -> tuple[list[list[int]], list[int]]:
@@ -89,18 +74,20 @@ def distance_counts(adj: Sequence[Iterable[int]]) -> tuple[list[list[int]], list
 class DiGraph:
     """Directed graph with weighted arcs over a fixed node set."""
 
-    __slots__ = ("_labels", "_slug_to_id", "_succ", "_pred", "_arc_count")
+    __slots__ = ("_slugs", "_slug_to_id", "_succ", "_pred", "_arc_count")
 
-    def __init__(self, labels: Sequence[NodeLabel | str]):
-        if not labels:
+    def __init__(self, slugs: Sequence[str]):
+        if not slugs:
             raise EmptyNodeSetError("a graph needs at least one node")
-        self._labels = tuple(lab if isinstance(lab, NodeLabel) else NodeLabel(lab) for lab in labels)
+        self._slugs = tuple(slugs)
         self._slug_to_id: dict[str, int] = {}
-        for i, lab in enumerate(self._labels):
-            if lab.slug in self._slug_to_id:
-                raise DuplicateLabelError(f"slug {lab.slug!r} appears twice")
-            self._slug_to_id[lab.slug] = i
-        n = len(self._labels)
+        for i, slug in enumerate(self._slugs):
+            if not slug:
+                raise ValueError("slug must be non-empty")
+            if slug in self._slug_to_id:
+                raise DuplicateLabelError(f"slug {slug!r} appears twice")
+            self._slug_to_id[slug] = i
+        n = len(self._slugs)
         self._succ: list[dict[int, int]] = [dict() for _ in range(n)]
         self._pred: list[set[int]] = [set() for _ in range(n)]
         self._arc_count = 0
@@ -109,18 +96,18 @@ class DiGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self._labels)
+        return len(self._slugs)
 
     @property
-    def labels(self) -> tuple[NodeLabel, ...]:
-        return self._labels
+    def slugs(self) -> tuple[str, ...]:
+        return self._slugs
 
     def node_ids(self) -> range:
-        return range(len(self._labels))
+        return range(len(self._slugs))
 
     def slug(self, v: NodeId) -> str:
         self._check(v)
-        return self._labels[v].slug
+        return self._slugs[v]
 
     def id_of(self, slug: str) -> NodeId:
         try:
@@ -132,8 +119,8 @@ class DiGraph:
         return slug in self._slug_to_id
 
     def _check(self, v: NodeId) -> None:
-        if not isinstance(v, int) or v < 0 or v >= len(self._labels):
-            raise UnknownNodeError(f"node id {v!r} outside 0..{len(self._labels) - 1}")
+        if not isinstance(v, int) or v < 0 or v >= len(self._slugs):
+            raise UnknownNodeError(f"node id {v!r} outside 0..{len(self._slugs) - 1}")
 
     # -- arcs ---------------------------------------------------------------
 
@@ -183,7 +170,7 @@ class DiGraph:
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (source, target, weight) triples in sorted order."""
-        for s in range(len(self._labels)):
+        for s in range(len(self._slugs)):
             succ = self._succ[s]
             for t in sorted(succ):
                 yield s, t, succ[t]
@@ -193,15 +180,15 @@ class DiGraph:
     def remove_nodes(self, victims: Iterable[NodeId]) -> tuple["DiGraph", dict[int, int]]:
         """Drop the victim nodes and every arc touching them.
 
-        Returns the reduced graph (ids re-densified, label identity kept)
+        Returns the reduced graph (ids re-densified, slugs kept)
         plus the old->new id mapping for the surviving nodes.
         """
         victim_set = set(victims)
         for v in victim_set:
             self._check(v)
-        survivors = [v for v in range(len(self._labels)) if v not in victim_set]
+        survivors = [v for v in range(len(self._slugs)) if v not in victim_set]
         mapping = {old: new for new, old in enumerate(survivors)}
-        reduced = DiGraph([self._labels[v] for v in survivors])
+        reduced = DiGraph([self._slugs[v] for v in survivors])
         for s in survivors:
             ns = mapping[s]
             succ = self._succ[s]
@@ -213,10 +200,10 @@ class DiGraph:
     def undirected_projection(self) -> "UGraph":
         """Forget direction and weight: {u,v} present iff u->v or v->u.
 
-        The projection keeps the node ids; their labels stay on this digraph.
+        The projection keeps the node ids; their slugs stay on this digraph.
         """
-        ug = UGraph(len(self._labels))
-        for s in range(len(self._labels)):
+        ug = UGraph(len(self._slugs))
+        for s in range(len(self._slugs)):
             for t in self._succ[s]:
                 ug.add_edge(s, t)
         return ug

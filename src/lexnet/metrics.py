@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BadKError,
@@ -172,6 +172,16 @@ def rich_club_coefficient(ug: UGraph, k: int) -> float | None:
     return 2.0 * e_k / (n_k * (n_k - 1))
 
 
+def mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (0.0 for a single value)."""
+    k = len(values)
+    mean = sum(values) / k
+    if k < 2:
+        return mean, 0.0
+    var = sum((x - mean) ** 2 for x in values) / (k - 1)
+    return mean, math.sqrt(var)
+
+
 class NormalizedPhi(NamedTuple):
     phi: float
     phi_null_mean: float
@@ -180,7 +190,7 @@ class NormalizedPhi(NamedTuple):
 
 
 def normalized_rich_club(
-    ug: UGraph, k: int, samples: int, seed: int, swap_factor: int = 10
+    ug: UGraph, k: int, samples: int, seed: int, swap_factor: int
 ) -> NormalizedPhi:
     """phi(k) normalized by its mean over degree-preserving rewirings.
 
@@ -202,14 +212,9 @@ def normalized_rich_club(
         null_phi = rich_club_coefficient(null, k)
         # the degree sequence is preserved, so phi stays defined
         values.append(0.0 if null_phi is None else null_phi)
-    mean = sum(values) / samples
+    mean, stddev = mean_std(values)
     if mean == 0.0:
         raise NullModelDegenerateError(f"null-model mean of phi({k}) is zero")
-    if samples > 1:
-        var = sum((x - mean) ** 2 for x in values) / (samples - 1)
-        stddev = math.sqrt(var)
-    else:
-        stddev = 0.0
     return NormalizedPhi(phi, mean, phi / mean, stddev)
 
 

@@ -7,11 +7,11 @@ independent of evaluation order.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import PipelineConfig
 from .errors import (
     BadLatticeDegreeError,
     DegenerateGraphError,
@@ -26,6 +26,7 @@ from .metrics import (
     average_path_length,
     density,
     global_clustering,
+    mean_std,
     normalized_rich_club,
 )
 from .seeding import derive_seed
@@ -153,15 +154,6 @@ class NullModelStats:
     path_length_stddev: float
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    k = len(values)
-    mean = sum(values) / k
-    if k < 2:
-        return mean, 0.0
-    var = sum((x - mean) ** 2 for x in values) / (k - 1)
-    return mean, math.sqrt(var)
-
-
 def _stats_over(model: str, params: dict, graphs: Sequence[UGraph], seed: int) -> NullModelStats:
     densities = []
     clusterings = []
@@ -171,8 +163,8 @@ def _stats_over(model: str, params: dict, graphs: Sequence[UGraph], seed: int) -
         densities.append(2.0 * ug.edge_count / (n * (n - 1)))
         clusterings.append(global_clustering(ug).transitivity)
         paths.append(average_path_length(ug).average)
-    c_mean, c_std = _mean_std(clusterings)
-    p_mean, p_std = _mean_std(paths)
+    c_mean, c_std = mean_std(clusterings)
+    p_mean, p_std = mean_std(paths)
     return NullModelStats(
         model=model,
         samples=len(graphs),
@@ -199,16 +191,6 @@ def ws_baseline(n: int, k_even: int, p: float, samples: int, seed: int) -> NullM
 # -- assessment ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssessmentThresholds:
-    """Decision-rule parameters; defaults live in the pipeline config."""
-
-    degree_fraction: float = 0.15  # concentrated: mean total degree >= fraction * (n-1)
-    transitivity_factor: float = 2.5  # small world: transitivity >= factor * ER mean
-    path_length_factor: float = 1.5  # small world: path length <= factor * ER mean
-    sparse_sigma: float = 2.0  # sparse-random: transitivity within sigma of ER
-
-
 VERDICTS = ("concentrated_world", "small_world_like", "sparse_random_like", "inconclusive")
 
 
@@ -227,24 +209,23 @@ class Assessment:
     verdict: str
 
 
-def club_cohesion(
-    g: DiGraph,
-    ug: UGraph,
-    club: RichClub,
-    samples: int,
-    seed: int,
-    swap_factor: int = 10,
-):
+def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig):
     """Check the two-part cohesion rule for a candidate rich club.
 
     Cohesion holds when the club's internal arc density strictly exceeds
     the overall graph density and the normalized rich-club coefficient at
-    k = the minimum member degree (on the projection) exceeds 1. Returns
+    k = the minimum member degree (on the projection) exceeds 1. The
+    coefficient is normalized over ``config.null_samples`` rewirings of
+    ``config.rewire_budget_factor`` swap attempts per edge, seeded from
+    the "phi-norm" stream of ``config.seed``. Returns
     (validated, k, NormalizedPhi-or-None).
     """
     k = min(ug.degree(v) for v in club.members)
+    seed = derive_seed(config.seed, "phi-norm")
     try:
-        norm = normalized_rich_club(ug, k, samples, seed, swap_factor)
+        norm = normalized_rich_club(
+            ug, k, config.null_samples, seed, config.rewire_budget_factor
+        )
     except (UndefinedCoefficientError, NullModelDegenerateError, TooFewEdgesError):
         return False, k, None
     validated = club.internal_density > density(g) and norm.phi_norm > 1.0
@@ -252,20 +233,16 @@ def club_cohesion(
 
 
 def concentrated_world_assessment(
-    g: DiGraph,
-    ug: UGraph,
-    rich_club_present: bool,
-    samples: int,
-    seed: int,
-    thresholds: AssessmentThresholds = AssessmentThresholds(),
-    ws_p: float = 0.1,
+    g: DiGraph, ug: UGraph, rich_club_present: bool, config: PipelineConfig
 ) -> Assessment:
     """Classify the network against density-matched ER and WS baselines.
 
     ug is the undirected projection of g, and rich_club_present is the
     verdict of :func:`club_cohesion` on the candidate rich club; both are
-    taken as inputs so one analysis computes each of them once. The
-    verdict rule, evaluated in order:
+    taken as inputs so one analysis computes each of them once. Each
+    baseline draws ``config.null_samples`` graphs (Watts-Strogatz with
+    rewiring probability ``config.ws_p``) from a stream of ``config.seed``.
+    The verdict rule, whose thresholds are config fields, evaluated in order:
       concentrated_world - mean total degree >= degree_fraction * (n-1)
         and the rich club's cohesion validates;
       small_world_like - transitivity >= transitivity_factor * ER mean and
@@ -284,12 +261,13 @@ def concentrated_world_assessment(
     observed_path = average_path_length(ug).average
     mean_total_degree = 2.0 * g.arc_count / n
 
-    er = er_baseline(n, m, samples, derive_seed(seed, "er-baseline"))
+    samples = config.null_samples
+    er = er_baseline(n, m, samples, derive_seed(config.seed, "er-baseline"))
     mean_degree = 2.0 * m / n
     k_even = max(2, int(round(mean_degree / 2.0)) * 2)
     if k_even >= n:
         k_even = (n - 1) if (n - 1) % 2 == 0 else n - 2
-    ws = ws_baseline(n, k_even, ws_p, samples, derive_seed(seed, "ws-baseline"))
+    ws = ws_baseline(n, k_even, config.ws_p, samples, derive_seed(config.seed, "ws-baseline"))
     baselines = (er, ws)
 
     undirected_density = 2.0 * m / (n * (n - 1))
@@ -298,16 +276,16 @@ def concentrated_world_assessment(
         observed_transitivity / er.clustering_mean if er.clustering_mean else 0.0
     )
 
-    dense_enough = mean_total_degree >= thresholds.degree_fraction * (n - 1)
+    dense_enough = mean_total_degree >= config.degree_fraction * (n - 1)
     if dense_enough and rich_club_present:
         verdict = "concentrated_world"
     elif (
         er.clustering_mean > 0.0
-        and observed_transitivity >= thresholds.transitivity_factor * er.clustering_mean
-        and observed_path <= thresholds.path_length_factor * er.path_length_mean
+        and observed_transitivity >= config.transitivity_factor * er.clustering_mean
+        and observed_path <= config.path_length_factor * er.path_length_mean
     ):
         verdict = "small_world_like"
-    elif abs(observed_transitivity - er.clustering_mean) <= thresholds.sparse_sigma * er.clustering_stddev:
+    elif abs(observed_transitivity - er.clustering_mean) <= config.sparse_sigma * er.clustering_stddev:
         verdict = "sparse_random_like"
     else:
         verdict = "inconclusive"

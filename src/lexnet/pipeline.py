@@ -31,7 +31,6 @@ from .metrics import (
 )
 from .nullmodels import club_cohesion, concentrated_world_assessment
 from .report import SCHEMA_VERSION, SECTION_TYPES
-from .seeding import derive_seed
 
 
 # Every report section but schema_version, in report order.
@@ -137,15 +136,7 @@ def build_communities_section(g: DiGraph, club: RichClub, config: PipelineConfig
 def build_baseline_sections(
     g: DiGraph, ug: UGraph, rich_club_present: bool, config: PipelineConfig
 ) -> tuple[list, dict]:
-    assessment = concentrated_world_assessment(
-        g,
-        ug,
-        rich_club_present,
-        config.null_samples,
-        config.seed,
-        config.thresholds(),
-        config.ws_p,
-    )
+    assessment = concentrated_world_assessment(g, ug, rich_club_present, config)
     baselines = [asdict(stats) for stats in assessment.baselines]
     assessment_section = {
         "observed": {
@@ -189,14 +180,7 @@ def build_sections(
     """
     ug = g.undirected_projection()
     club = rich_club_members(g, config.k_citing, config.k_cited)
-    cohesion = club_cohesion(
-        g,
-        ug,
-        club,
-        config.null_samples,
-        derive_seed(config.seed, "phi-norm"),
-        config.rewire_budget_factor,
-    )
+    cohesion = club_cohesion(g, ug, club, config)
     sections = {
         "graph_summary": build_graph_summary(g, ug),
         "roles": build_roles_section(g),

@@ -22,7 +22,7 @@ from .errors import (
     SchemaViolationError,
     SelfLoopLineError,
 )
-from .graph import DiGraph, NodeLabel
+from .graph import DiGraph
 from .metrics import Role
 from .nullmodels import NullModelStats
 
@@ -74,7 +74,7 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
                 slugs.add(slug)
     if not slugs:
         raise EmptyInputError("no nodes in edge list or sidecar")
-    graph = DiGraph([NodeLabel(slug) for slug in sorted(slugs)])
+    graph = DiGraph(sorted(slugs))
     seen: set[tuple[str, str]] = set()
     for citing, cited, count, lineno in records:
         if (citing, cited) in seen:
@@ -133,6 +133,11 @@ def _check_annotations(
             raise InconsistentInputsError(f"communities for unknown slugs {sorted(unknown)[:3]}...")
 
 
+def _dot_id(slug: str) -> str:
+    """A slug as a double-quoted DOT id, with backslashes and quotes escaped."""
+    return '"' + slug.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def write_dot(
     g: DiGraph,
     roles: Mapping[str, str],
@@ -155,10 +160,10 @@ def write_dot(
         attrs = [f"shape={shapes[slug]}", f'role="{roles[slug]}"']
         if communities is not None and slug in communities:
             attrs.append(f"cluster={communities[slug]}")
-        lines.append(f'  "{slug}" [{", ".join(attrs)}];')
+        lines.append(f'  {_dot_id(slug)} [{", ".join(attrs)}];')
     rows = sorted((g.slug(s), g.slug(t), w) for s, t, w in g.arcs())
     for citing, cited, count in rows:
-        lines.append(f'  "{citing}" -> "{cited}" [weight={count}];')
+        lines.append(f"  {_dot_id(citing)} -> {_dot_id(cited)} [weight={count}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -201,7 +206,8 @@ def write_graphml(
     for slug in sorted(by_slug):
         v = by_slug[slug]
         lines.append(f"    <node id={quoteattr(slug)}>")
-        lines.append(f"      <data key=\"d_display\">{escape(g.labels[v].display_name)}</data>")
+        # the display name is the slug
+        lines.append(f"      <data key=\"d_display\">{escape(slug)}</data>")
         lines.append(f"      <data key=\"d_role\">{escape(roles[slug])}</data>")
         lines.append(f"      <data key=\"d_in\">{g.in_degree(v)}</data>")
         lines.append(f"      <data key=\"d_out\">{g.out_degree(v)}</data>")

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from lexnet.graph import DiGraph, NodeLabel, UGraph
+from lexnet.graph import DiGraph, UGraph
 
 
 @st.composite
@@ -26,7 +26,7 @@ def ugraphs(draw, max_nodes: int = 12) -> UGraph:
 
 def make_digraph(slugs, arcs):
     """Build a DiGraph from slug names and (source, target[, count]) triples."""
-    g = DiGraph([NodeLabel(s) for s in slugs])
+    g = DiGraph(list(slugs))
     for arc in arcs:
         if len(arc) == 2:
             s, t = arc
@@ -275,16 +275,18 @@ def corrupt(payload: dict, keys: tuple, value) -> None:
         payload[last] = value
 
 
-def assess(g: DiGraph, club, samples: int, seed: int, **kwargs):
-    """Assess g as the pipeline does: cohesion of club (None: no club) feeds the verdict."""
-    from lexnet.nullmodels import club_cohesion, concentrated_world_assessment
-    from lexnet.seeding import derive_seed
+def assess(g: DiGraph, club, samples: int, seed: int, **config):
+    """Assess g as the pipeline does: cohesion of club (None: no club) feeds the verdict.
 
+    Extra keyword arguments are further PipelineConfig fields.
+    """
+    from lexnet.config import PipelineConfig
+    from lexnet.nullmodels import club_cohesion, concentrated_world_assessment
+
+    config = PipelineConfig(null_samples=samples, seed=seed, **config)
     ug = g.undirected_projection()
-    present = club is not None and club_cohesion(
-        g, ug, club, samples, derive_seed(seed, "phi-norm")
-    )[0]
-    return concentrated_world_assessment(g, ug, present, samples, seed, **kwargs)
+    present = club is not None and club_cohesion(g, ug, club, config)[0]
+    return concentrated_world_assessment(g, ug, present, config)
 
 
 def degree_multiset(ug: UGraph) -> list[int]:

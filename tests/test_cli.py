@@ -1,18 +1,27 @@
 """End-to-end CLI behavior: subcommands, exit codes, composition, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import sys
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lexnet
 import lexnet.nullmodels
 import lexnet.pipeline
 from lexnet.cli import main, run
+from lexnet.config import PipelineConfig
 from lexnet.graph import DiGraph
+from lexnet.report import read_report
 
 from conftest import REPORT_DEFECTS, corrupt
 
@@ -26,6 +35,12 @@ GOLDEN_DIGESTS = {
     "richclub": "7019c1694c4a112f6453817ede80db04564ae7a34a3f821b234271f8b8184075",
     "communities": "01fb13f430080816d33c05a7924c4d76c7d06ce34f8be75b73721b1e8729170a",
     "nulls": "14229651296c8f70a531c3d6374c7be829519ffb0c077bcaba4eaab4f0fbcc71",
+}
+
+# sha256 of the DOT and GraphML export of the golden analyze report.
+GOLDEN_EXPORT_DIGESTS = {
+    "graph.dot": "8e1e2cfb032c6ba7ecf2152ecbacc28deffc5a3b2d9dd304eaa2ae2e524e153e",
+    "graph.graphml": "19a297dea011c679f1d043916e6bf3ce307df85c6f6a78a34be7fa9a258a3977",
 }
 
 
@@ -214,6 +229,41 @@ class TestExport:
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_golden_exports(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["fixture", "--out-dir", "fx"]) == 0
+        assert run(["extract", "--corpus", "fx/corpus", "--registry", "fx/registry.tsv",
+                    "--out", "edges.tsv", "--nodes-out", "nodes.txt"]) == 0
+        assert run(["analyze", "--edges", "edges.tsv", "--nodes", "nodes.txt",
+                    "--out", "report.json"]) == 0
+        assert run(["export", "--edges", "edges.tsv", "--nodes", "nodes.txt", "--report",
+                    "report.json", "--dot", "graph.dot", "--graphml", "graph.graphml"]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_EXPORT_DIGESTS
+        }
+        assert digests == GOLDEN_EXPORT_DIGESTS
+
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text('a"b\tc\\\t1\nc\\\td\t1\nd\ta"b\t1\n', encoding="utf-8")
+        report = tmp_path / "report.json"
+        dot = tmp_path / "graph.dot"
+        assert run(["analyze", "--edges", str(edges), "--k-citing", "1", "--k-cited", "1",
+                    "--null-samples", "2", "--out", str(report)]) == 0
+        assert run(["export", "--edges", str(edges), "--report", str(report),
+                    "--dot", str(dot)]) == 0
+        assert dot.read_text(encoding="utf-8").splitlines() == [
+            "digraph citations {",
+            '  "a\\"b" [shape=hexagon, role="ordinary"];',
+            '  "c\\\\" [shape=diamond, role="ordinary", cluster=0];',
+            '  "d" [shape=diamond, role="ordinary", cluster=0];',
+            '  "a\\"b" -> "c\\\\" [weight=1];',
+            '  "c\\\\" -> "d" [weight=1];',
+            '  "d" -> "a\\"b" [weight=1];',
+            "}",
+        ]
+
     def test_export_requires_a_format(self, extracted, tmp_path):
         edges, nodes = extracted
         report_path = tmp_path / "report.json"
@@ -321,6 +371,91 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        ("command", "code"),
+        [("analyze", 4), ("communities", 4), ("richclub", 0), ("nulls", 0)],
+    )
+    def test_empty_reduced_network(self, command, code, tmp_path, capsys):
+        # the club is {a}; without it b, c and d share no arc, so only the
+        # commands that partition the reduced network fail
+        edges = tmp_path / "star.tsv"
+        edges.write_text("a\tb\t1\na\tc\t1\nb\ta\t1\nc\ta\t1\nd\ta\t1\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        rc = run([command, "--edges", str(edges), "--k-citing", "1", "--k-cited", "1",
+                  "--null-samples", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == code
+        if code:
+            assert err == (
+                "lexnet: degenerate graph: community detection needs at least one edge\n"
+            )
+            assert not out.exists()
+        else:
+            assert err == ""
+            assert out.exists()
+
+
+# Edge lists, sidecars and configs for the fuzz test below. Slugs mix the
+# characters that need escaping or stripping, or that start a comment; at
+# most one record and one config value are broken, so most runs get far
+# enough to analyze.
+_SLUGS = st.tuples(st.sampled_from("abcé"), st.text(alphabet='ab"\\ é#', max_size=3)).map("".join)
+_BAD_RECORDS = ["a\ta\t1", "a\tb\t0", "a\tb\tx", " \tb\t1", "#a\tb\t1", "lonely"]
+_BAD_VALUES = [True, False, float("nan"), float("inf"), -1, 0, "2", None]
+_CONFIG_KEYS = [f.name for f in fields(PipelineConfig)] + ["unknown_key"]
+
+
+@st.composite
+def _cli_inputs(draw):
+    pool = draw(st.lists(_SLUGS, min_size=3, max_size=7, unique_by=str.strip))
+    index = st.integers(0, len(pool) - 1)
+    pairs = st.tuples(index, index).filter(lambda pair: pair[0] != pair[1])
+    arcs = draw(st.lists(st.tuples(pairs, st.integers(1, 3)), min_size=2, max_size=10))
+    records = [f"{pool[i]}\t{pool[j]}\t{count}" for (i, j), count in arcs]
+    if draw(st.integers(0, 3)) == 3:
+        records.append(draw(st.sampled_from(_BAD_RECORDS)))
+    sidecar = draw(st.none() | st.lists(_SLUGS | st.just("#x"), max_size=3))
+    config = {
+        "null_samples": draw(st.integers(1, 2)),
+        "rewire_budget_factor": draw(st.integers(1, 2)),
+        "k_citing": draw(st.integers(1, 3)),
+        "k_cited": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(-3, 3)),
+        "ws_p": draw(st.floats(0.0, 1.0)),
+    }
+    if draw(st.integers(0, 3)) == 3:
+        config[draw(st.sampled_from(_CONFIG_KEYS))] = draw(st.sampled_from(_BAD_VALUES))
+    command = draw(st.sampled_from(["analyze", "richclub", "communities", "nulls"]))
+    return command, records, sidecar, json.dumps(config)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_cli_inputs())
+def test_any_input_gives_a_report_or_a_documented_exit(inputs):
+    command, records, sidecar, config_text = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "edges.tsv").write_text("".join(r + "\n" for r in records), encoding="utf-8")
+        (root / "config.json").write_text(config_text, encoding="utf-8")
+        argv = [command, "--edges", str(root / "edges.tsv"), "--config", str(root / "config.json"),
+                "--out", str(root / "out.json")]
+        if sidecar is not None:
+            (root / "nodes.txt").write_text("".join(n + "\n" for n in sidecar), encoding="utf-8")
+            argv += ["--nodes", str(root / "nodes.txt")]
+        err = io.StringIO()
+        # duplicate records warn through the warnings module, not as a diagnostic line
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            rc = run(argv)
+        out = root / "out.json"
+        assert rc in (0, 2, 3, 4)
+        if rc:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not out.exists()
+        elif command == "analyze":
+            read_report(out.read_text(encoding="utf-8"))
+
+
 class TestWriteFailures:
     """An output that cannot be written exits 3 with one line and leaves nothing behind."""
 
@@ -388,6 +523,17 @@ def test_script_entry_point_exits_with_the_run_code(argv, code, tmp_path, monkey
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == code
+
+
+def test_readme_configuration_table_matches_pipeline_config():
+    section = re.search(r"## Configuration\n(.*?)\n## ", README.read_text(encoding="utf-8"), re.S)
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section.group(1), re.M)
+    documented = [(key, json.loads(default)) for key, default in rows]
+    assert documented == [(f.name, f.default) for f in fields(PipelineConfig)]
+    # 2.0, not 2: a float field's default is written as a float
+    assert [type(default).__name__ for _, default in documented] == [
+        f.type for f in fields(PipelineConfig)
+    ]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from lexnet.errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-from lexnet.graph import DiGraph, NodeLabel, UGraph, digraph_from_ugraph, distance_counts
+from lexnet.graph import DiGraph, UGraph, digraph_from_ugraph, distance_counts
 from lexnet.nullmodels import erdos_renyi_gnm
 
 from conftest import (
@@ -44,9 +44,9 @@ class TestConstruction:
         with pytest.raises(EmptyNodeSetError):
             DiGraph([])
 
-    def test_display_name_defaults_to_slug(self):
-        label = NodeLabel("penal")
-        assert label.display_name == "penal"
+    def test_empty_slug_rejected(self):
+        with pytest.raises(ValueError, match="slug must be non-empty"):
+            DiGraph(["a", ""])
 
 
 class TestAddEdge:
@@ -185,7 +185,7 @@ class TestProjection:
         rng = random.Random(23)
         for _ in range(20):
             g = random_digraph(rng, 7, 12)
-            sym = DiGraph(g.labels)
+            sym = DiGraph(g.slugs)
             for s, t, w in g.arcs():
                 sym.add_edge(s, t, w)
                 if not g.has_arc(t, s):

@@ -291,27 +291,27 @@ class TestPhiTable:
 
 class TestNormalizedRichClub:
     def test_bridge_fixture_norm_above_one(self, bridge_ugraph):
-        result = normalized_rich_club(bridge_ugraph, 2, samples=200, seed=7)
+        result = normalized_rich_club(bridge_ugraph, 2, samples=200, seed=7, swap_factor=10)
         assert result.phi == 1.0
         assert result.phi_null_mean < 1.0
         assert result.phi_norm > 1.0
 
     def test_complete_graph_norm_is_one(self):
         ug = make_ugraph("abcde", [(a, b) for a in "abcde" for b in "abcde" if a < b])
-        result = normalized_rich_club(ug, 3, samples=20, seed=3)
+        result = normalized_rich_club(ug, 3, samples=20, seed=3, swap_factor=10)
         assert result.phi == 1.0
         assert result.phi_norm == 1.0
         assert result.sample_stddev == 0.0
 
     def test_deterministic(self, bridge_ugraph):
-        a = normalized_rich_club(bridge_ugraph, 2, samples=50, seed=11)
-        b = normalized_rich_club(bridge_ugraph, 2, samples=50, seed=11)
+        a = normalized_rich_club(bridge_ugraph, 2, samples=50, seed=11, swap_factor=10)
+        b = normalized_rich_club(bridge_ugraph, 2, samples=50, seed=11, swap_factor=10)
         assert a == b
 
     def test_undefined_raises(self):
         ug = make_ugraph("habcd", [("h", x) for x in "abcd"])
         with pytest.raises(UndefinedCoefficientError):
-            normalized_rich_club(ug, 1, samples=5, seed=1)
+            normalized_rich_club(ug, 1, samples=5, seed=1, swap_factor=10)
 
 
 class TestClustering:

@@ -13,7 +13,6 @@ from lexnet.errors import (
 from lexnet.graph import digraph_from_ugraph
 from lexnet.metrics import global_clustering, rich_club_members
 from lexnet.nullmodels import (
-    AssessmentThresholds,
     degree_preserving_rewire,
     erdos_renyi_gnm,
     watts_strogatz,
@@ -163,8 +162,5 @@ class TestAssessment:
 
     def test_thresholds_are_configurable(self, fixture_graph):
         club = rich_club_members(fixture_graph, 5, 6)
-        strict = AssessmentThresholds(degree_fraction=0.99)
-        result = assess(
-            fixture_graph, club, samples=10, seed=3, thresholds=strict
-        )
+        result = assess(fixture_graph, club, samples=10, seed=3, degree_fraction=0.99)
         assert result.verdict != "concentrated_world"
