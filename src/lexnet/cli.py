@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .graph import DiGraph
 from .pipeline import REPORT_SECTIONS, analyze_graph, build_sections
 from .report import (
     SCHEMA_VERSION,
+    DuplicateRecordWarning,
     canonical_json,
     parse_edge_list,
     read_report,
@@ -135,9 +137,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args: argparse.Namespace) -> DiGraph:
+def _parse_graph(args: argparse.Namespace) -> DiGraph:
+    """Parse --edges and --nodes; each duplicate record costs one stderr line."""
     nodes_text = _read_text(args.nodes) if args.nodes else None
-    graph = parse_edge_list(_read_text(args.edges), nodes_text)
+    edges_text = _read_text(args.edges)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DuplicateRecordWarning)
+        graph = parse_edge_list(edges_text, nodes_text)
+    for caught_warning in caught:
+        print(f"lexnet: warning: {caught_warning.message}", file=sys.stderr)
+    return graph
+
+
+def _load_graph(args: argparse.Namespace) -> DiGraph:
+    graph = _parse_graph(args)
     if graph.node_count < 3:
         raise DegenerateGraphError(
             f"analysis needs at least 3 nodes, got {graph.node_count}"
@@ -195,8 +208,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     if not args.dot and not args.graphml:
         raise ConfigError("export needs --dot and/or --graphml")
-    nodes_text = _read_text(args.nodes) if args.nodes else None
-    graph = parse_edge_list(_read_text(args.edges), nodes_text)
+    graph = _parse_graph(args)
     report = read_report(_read_text(args.report))
     roles = {slug: entry["role"] for slug, entry in report["roles"].items()}
     rich_club = report["rich_club"]

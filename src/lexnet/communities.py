@@ -304,9 +304,12 @@ def reduced_network_partition(
 
     Communities of size >= min_size are reported as main communities,
     ordered by size descending then smallest member slug; everything else
-    lands in the residual set.
+    lands in the residual set. A club that holds every node leaves no
+    edge to partition, like a reduced network without arcs.
     """
     club = set(rich_club)
+    if club.issuperset(g.node_ids()):
+        raise EmptyGraphError("community detection needs at least one edge")
     reduced, _ = g.remove_nodes(club)
     ug = reduced.undirected_projection()
     partition = cnm_communities(ug)

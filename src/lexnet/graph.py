@@ -224,6 +224,18 @@ class UGraph:
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._edge_count = 0
 
+    @classmethod
+    def _from_adjacency(cls, adj: list[set[int]], edge_count: int) -> "UGraph":
+        """Wrap an adjacency without copying or checking it.
+
+        Trusted callers only: adj must be non-empty, symmetric and free of
+        self-loops, and edge_count must be its number of edges.
+        """
+        ug = cls.__new__(cls)
+        ug._adj = adj
+        ug._edge_count = edge_count
+        return ug
+
     @property
     def node_count(self) -> int:
         return len(self._adj)

@@ -15,6 +15,7 @@ from .config import PipelineConfig
 from .errors import (
     BadLatticeDegreeError,
     DegenerateGraphError,
+    EmptyNodeSetError,
     NullModelDegenerateError,
     TooFewEdgesError,
     TooManyEdgesError,
@@ -33,31 +34,48 @@ from .seeding import derive_seed
 
 
 def erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
-    """Uniform simple graph with exactly n nodes and m edges."""
+    """Uniform simple graph with exactly n nodes and m edges.
+
+    A sparse request draws node pairs with rejection. Each node is drawn
+    as ``rng.randrange(n)`` draws it, inlined: ``getrandbits`` of n's bit
+    length, redrawn while it is >= n, so a seed gives the same graph as
+    the ``randrange`` loop with less interpreter work per draw.
+    """
     max_edges = n * (n - 1) // 2
     if m > max_edges:
         raise TooManyEdgesError(f"m={m} exceeds the simple-graph maximum {max_edges}")
     if m < 0:
         raise ValueError("m must be non-negative")
     rng = random.Random(seed)
-    ug = UGraph(n)
-    if m == 0:
-        return ug
+    if n < 1:
+        raise EmptyNodeSetError("a graph needs at least one node")
+    adj: list[set[int]] = [set() for _ in range(n)]
     if max_edges <= 4 * m:
         # dense request: sample directly from the materialized pair list
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for u, v in rng.sample(pairs, m):
-            ug.add_edge(u, v)
-        return ug
-    added = 0
-    while added < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or ug.has_edge(u, v):
-            continue
-        ug.add_edge(u, v)
-        added += 1
-    return ug
+            adj[u].add(v)
+            adj[v].add(u)
+    else:
+        getrandbits = rng.getrandbits
+        bits = n.bit_length()
+        added = 0
+        while added < m:
+            u = getrandbits(bits)
+            while u >= n:
+                u = getrandbits(bits)
+            v = getrandbits(bits)
+            while v >= n:
+                v = getrandbits(bits)
+            if u == v:
+                continue
+            u_nbrs = adj[u]
+            if v in u_nbrs:
+                continue
+            u_nbrs.add(v)
+            adj[v].add(u)
+            added += 1
+    return UGraph._from_adjacency(adj, m)
 
 
 def watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
@@ -65,32 +83,42 @@ def watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
 
     A rewired edge keeps its source endpoint and moves the other end to a
     uniform target that creates neither a self-loop nor a duplicate; if no
-    such target exists the edge is left in place.
+    such target exists the edge is left in place. Targets are drawn as
+    ``rng.randrange(n)`` draws them, inlined (``getrandbits`` of n's bit
+    length with rejection), so a seed gives the same graph as the
+    ``random()``/``randrange`` loop with less interpreter work per draw.
     """
     if k_even % 2 != 0 or k_even < 2 or k_even >= n:
         raise BadLatticeDegreeError(f"lattice degree must be even and in 2..n-1, got {k_even}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = random.Random(seed)
-    ug = UGraph(n)
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
     half = k_even // 2
+    # k_even < n, so each node has k_even distinct lattice neighbors
+    offsets = [j for j in range(-half, half + 1) if j]
+    adj = [{(i + j) % n for j in offsets} for i in range(n)]
     for j in range(1, half + 1):
         for i in range(n):
-            ug.add_edge(i, (i + j) % n)
-    for j in range(1, half + 1):
-        for i in range(n):
-            if rng.random() >= p:
+            if random_() >= p:
                 continue
-            old = (i + j) % n
-            if ug.degree(i) >= n - 1:
+            i_nbrs = adj[i]
+            if len(i_nbrs) >= n - 1:
                 continue  # i is joined to everything else already
             while True:
-                w = rng.randrange(n)
-                if w != i and not ug.has_edge(i, w):
+                w = getrandbits(bits)
+                while w >= n:
+                    w = getrandbits(bits)
+                if w != i and w not in i_nbrs:
                     break
-            ug.remove_edge(i, old)
-            ug.add_edge(i, w)
-    return ug
+            old = (i + j) % n
+            i_nbrs.discard(old)
+            adj[old].discard(i)
+            i_nbrs.add(w)
+            adj[w].add(i)
+    return UGraph._from_adjacency(adj, n * half)
 
 
 def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
@@ -98,42 +126,60 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
 
     Each attempt draws two distinct edges and an orientation, and swaps
     endpoints only when the replacement creates no self-loop and no
-    duplicate edge; failed attempts leave the graph unchanged.
+    duplicate edge; failed attempts leave the graph unchanged. The edge
+    indices are drawn as ``rng.randrange`` draws them, inlined
+    (``getrandbits`` of the bound's bit length, redrawn while it is out of
+    range), and the orientation by ``rng.random()``, so a seed gives the
+    same graph as the ``randrange`` loop with less interpreter work per
+    attempt. The swapped adjacency becomes the result without re-adding
+    its edges.
     """
     m = ug.edge_count
     if m < 2:
         raise TooFewEdgesError(f"rewiring needs at least 2 edges, got {m}")
     rng = random.Random(seed)
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    m_bits = m.bit_length()
+    rest = m - 1
+    rest_bits = rest.bit_length()
     edges = list(ug.edges())
     adj = ug.adjacency()
     for _ in range(swap_attempts):
-        i = rng.randrange(m)
-        j = rng.randrange(m - 1)
+        i = getrandbits(m_bits)
+        while i >= m:
+            i = getrandbits(m_bits)
+        j = getrandbits(rest_bits)
+        while j >= rest:
+            j = getrandbits(rest_bits)
         if j >= i:
             j += 1
         a, b = edges[i]
-        if rng.random() < 0.5:
+        if random_() < 0.5:
             a, b = b, a
         c, d = edges[j]
         # proposed replacement: {a, d} and {c, b}
         if a == d or c == b:
             continue
-        if d in adj[a] or b in adj[c]:
+        a_nbrs = adj[a]
+        c_nbrs = adj[c]
+        if d in a_nbrs or b in c_nbrs:
             continue
-        adj[a].discard(b)
-        adj[b].discard(a)
-        adj[c].discard(d)
-        adj[d].discard(c)
-        adj[a].add(d)
-        adj[d].add(a)
-        adj[c].add(b)
-        adj[b].add(c)
+        b_nbrs = adj[b]
+        d_nbrs = adj[d]
+        a_nbrs.discard(b)
+        b_nbrs.discard(a)
+        c_nbrs.discard(d)
+        d_nbrs.discard(c)
+        a_nbrs.add(d)
+        d_nbrs.add(a)
+        c_nbrs.add(b)
+        b_nbrs.add(c)
         edges[i] = (a, d) if a < d else (d, a)
         edges[j] = (c, b) if c < b else (b, c)
-    result = UGraph(ug.node_count)
-    for u, v in edges:
-        result.add_edge(u, v)
-    return result
+    # compact copies: swap churn leaves set tables about 1.6x the size of
+    # freshly built ones, which shows in peak memory on large graphs
+    return UGraph._from_adjacency([set(nbrs) for nbrs in adj], m)
 
 
 # -- baseline statistics -----------------------------------------------------------

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
+from lexnet.errors import BadLatticeDegreeError, TooFewEdgesError, TooManyEdgesError
 from lexnet.graph import DiGraph, UGraph
 
 
@@ -238,6 +239,116 @@ def brute_force_phi(ug: UGraph, k: int) -> float | None:
     internal = sum(1 for u, v in combinations(rich, 2) if ug.has_edge(u, v))
     possible = len(rich) * (len(rich) - 1) // 2
     return internal / possible
+
+
+# -- reference generators --------------------------------------------------------
+# The null-model generators as they were before their random draws were
+# inlined, kept verbatim: the library versions must make the same draws
+# and so give edge-for-edge equal graphs.
+
+
+def reference_erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
+    """Uniform simple graph with exactly n nodes and m edges."""
+    max_edges = n * (n - 1) // 2
+    if m > max_edges:
+        raise TooManyEdgesError(f"m={m} exceeds the simple-graph maximum {max_edges}")
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    rng = random.Random(seed)
+    ug = UGraph(n)
+    if m == 0:
+        return ug
+    if max_edges <= 4 * m:
+        # dense request: sample directly from the materialized pair list
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for u, v in rng.sample(pairs, m):
+            ug.add_edge(u, v)
+        return ug
+    added = 0
+    while added < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v or ug.has_edge(u, v):
+            continue
+        ug.add_edge(u, v)
+        added += 1
+    return ug
+
+
+def reference_watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
+    """Ring lattice of degree k_even with each lattice edge rewired with prob p.
+
+    A rewired edge keeps its source endpoint and moves the other end to a
+    uniform target that creates neither a self-loop nor a duplicate; if no
+    such target exists the edge is left in place.
+    """
+    if k_even % 2 != 0 or k_even < 2 or k_even >= n:
+        raise BadLatticeDegreeError(f"lattice degree must be even and in 2..n-1, got {k_even}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    rng = random.Random(seed)
+    ug = UGraph(n)
+    half = k_even // 2
+    for j in range(1, half + 1):
+        for i in range(n):
+            ug.add_edge(i, (i + j) % n)
+    for j in range(1, half + 1):
+        for i in range(n):
+            if rng.random() >= p:
+                continue
+            old = (i + j) % n
+            if ug.degree(i) >= n - 1:
+                continue  # i is joined to everything else already
+            while True:
+                w = rng.randrange(n)
+                if w != i and not ug.has_edge(i, w):
+                    break
+            ug.remove_edge(i, old)
+            ug.add_edge(i, w)
+    return ug
+
+
+def reference_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
+    """Randomize by repeated double edge swaps; degrees are exactly preserved.
+
+    Each attempt draws two distinct edges and an orientation, and swaps
+    endpoints only when the replacement creates no self-loop and no
+    duplicate edge; failed attempts leave the graph unchanged.
+    """
+    m = ug.edge_count
+    if m < 2:
+        raise TooFewEdgesError(f"rewiring needs at least 2 edges, got {m}")
+    rng = random.Random(seed)
+    edges = list(ug.edges())
+    adj = ug.adjacency()
+    for _ in range(swap_attempts):
+        i = rng.randrange(m)
+        j = rng.randrange(m - 1)
+        if j >= i:
+            j += 1
+        a, b = edges[i]
+        if rng.random() < 0.5:
+            a, b = b, a
+        c, d = edges[j]
+        # proposed replacement: {a, d} and {c, b}
+        if a == d or c == b:
+            continue
+        if d in adj[a] or b in adj[c]:
+            continue
+        adj[a].discard(b)
+        adj[b].discard(a)
+        adj[c].discard(d)
+        adj[d].discard(c)
+        adj[a].add(d)
+        adj[d].add(a)
+        adj[c].add(b)
+        adj[b].add(c)
+        edges[i] = (a, d) if a < d else (d, a)
+        edges[j] = (c, b) if c < b else (b, c)
+    result = UGraph(ug.node_count)
+    for u, v in edges:
+        result.add_edge(u, v)
+    return result
 
 
 # Report defects that export would otherwise crash on, or carry into its

@@ -211,7 +211,7 @@ def test_criterion_6_discrimination():
         verdict = assess(g, club, samples=25, seed=seed).verdict
         ok = ok and verdict != "concentrated_world"
     elapsed = time.monotonic() - started
-    ok = ok and elapsed < 60.0
+    ok = ok and elapsed < 40.0
     _report("6 (discrimination check)", ok)
 
 

@@ -7,7 +7,6 @@ import json
 import re
 import sys
 import tempfile
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -378,10 +377,24 @@ class TestExitCodes:
     def test_empty_reduced_network(self, command, code, tmp_path, capsys):
         # the club is {a}; without it b, c and d share no arc, so only the
         # commands that partition the reduced network fail
-        edges = tmp_path / "star.tsv"
-        edges.write_text("a\tb\t1\na\tc\t1\nb\ta\t1\nc\ta\t1\nd\ta\t1\n", encoding="utf-8")
+        records = "a\tb\t1\na\tc\t1\nb\ta\t1\nc\ta\t1\nd\ta\t1\n"
+        self._assert_partition_exit(command, code, records, "1", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        ("command", "code"),
+        [("analyze", 4), ("communities", 4), ("richclub", 0), ("nulls", 0)],
+    )
+    def test_club_holds_every_node(self, command, code, tmp_path, capsys):
+        # the three most citing nodes are all of a, b and c, so removing the
+        # club leaves no node at all
+        self._assert_partition_exit(command, code, "a\tb\t1\nb\tc\t1\n", "3", tmp_path, capsys)
+
+    @staticmethod
+    def _assert_partition_exit(command, code, records, k_citing, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(records, encoding="utf-8")
         out = tmp_path / "out.json"
-        rc = run([command, "--edges", str(edges), "--k-citing", "1", "--k-cited", "1",
+        rc = run([command, "--edges", str(edges), "--k-citing", k_citing, "--k-cited", "1",
                   "--null-samples", "2", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == code
@@ -393,6 +406,24 @@ class TestExitCodes:
         else:
             assert err == ""
             assert out.exists()
+
+    def test_duplicate_record_is_one_warning_line(self, extracted, report_payload, tmp_path,
+                                                   capsys):
+        edges, nodes = extracted
+        lines = edges.read_text(encoding="utf-8").splitlines(keepends=True)
+        doubled = tmp_path / "doubled.tsv"
+        doubled.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        citing, cited, _ = lines[0].split("\t")
+        warning = (f"lexnet: warning: line {len(lines) + 1}: duplicate record "
+                   f"{citing} -> {cited}; counts summed\n")
+        rc = run(["richclub", "--edges", str(doubled), "--nodes", str(nodes),
+                  "--null-samples", "2", "--out", str(tmp_path / "club.json")])
+        assert (rc, capsys.readouterr().err) == (0, warning)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(report_payload), encoding="utf-8")
+        rc = run(["export", "--edges", str(doubled), "--nodes", str(nodes),
+                  "--report", str(report), "--dot", str(tmp_path / "graph.dot")])
+        assert (rc, capsys.readouterr().err) == (0, warning)
 
 
 # Edge lists, sidecars and configs for the fuzz test below. Slugs mix the
@@ -443,14 +474,16 @@ def test_any_input_gives_a_report_or_a_documented_exit(inputs):
             (root / "nodes.txt").write_text("".join(n + "\n" for n in sidecar), encoding="utf-8")
             argv += ["--nodes", str(root / "nodes.txt")]
         err = io.StringIO()
-        # duplicate records warn through the warnings module, not as a diagnostic line
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore")
+        with contextlib.redirect_stderr(err):
             rc = run(argv)
         out = root / "out.json"
         assert rc in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        # each duplicate record costs one warning line; a failure adds one diagnostic after them
+        diagnostics = [line for line in lines if not line.startswith("lexnet: warning: line ")]
+        assert len(diagnostics) == (1 if rc else 0), err.getvalue()
+        assert diagnostics == lines[len(lines) - len(diagnostics):], err.getvalue()
         if rc:
-            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
             assert not out.exists()
         elif command == "analyze":
             read_report(out.read_text(encoding="utf-8"))

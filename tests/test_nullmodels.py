@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lexnet.errors import (
     BadLatticeDegreeError,
     DegenerateGraphError,
+    EmptyNodeSetError,
     TooFewEdgesError,
     TooManyEdgesError,
 )
@@ -18,7 +21,16 @@ from lexnet.nullmodels import (
     watts_strogatz,
 )
 
-from conftest import assess, degree_multiset, make_ugraph, random_ugraph
+from conftest import (
+    assess,
+    degree_multiset,
+    make_ugraph,
+    random_ugraph,
+    reference_erdos_renyi_gnm,
+    reference_rewire,
+    reference_watts_strogatz,
+    ugraphs,
+)
 
 
 class TestErdosRenyi:
@@ -122,6 +134,119 @@ class TestRewire:
         a = degree_preserving_rewire(ug, 200, seed=8)
         b = degree_preserving_rewire(ug, 200, seed=8)
         assert list(a.edges()) == list(b.edges())
+
+
+def _inline_randbelow(rng: random.Random, n: int) -> int:
+    """The draw the generators inline in place of rng.randrange(n)."""
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
+def _same_graph(got, want) -> None:
+    assert got.node_count == want.node_count
+    assert got.edge_count == want.edge_count
+    assert list(got.edges()) == list(want.edges())
+
+
+_POWER_BOUNDS = sorted({2**k + d for k in range(1, 70) for d in (-1, 0, 1)})
+
+
+class TestInlinedDraw:
+    """The inlined draw is CPython's randrange, checked on this interpreter."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 977])
+    def test_matches_randrange_below_300(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            for _ in range(5):
+                assert _inline_randbelow(ours, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 977])
+    def test_matches_randrange_at_powers_of_two(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in [1] + _POWER_BOUNDS:
+            for _ in range(5):
+                assert _inline_randbelow(ours, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+
+class TestAgainstReferences:
+    """Each generator gives the graph its randrange-based reference gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2024])
+    def test_rewire_fixture_projection(self, fixture_graph, seed):
+        ug = fixture_graph.undirected_projection()
+        attempts = 10 * ug.edge_count
+        _same_graph(degree_preserving_rewire(ug, attempts, seed),
+                    reference_rewire(ug, attempts, seed))
+
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    @pytest.mark.parametrize(("n", "m"), [(52, 156), (300, 900), (5, 2)])
+    def test_er_sparse(self, n, m, seed):
+        assert n * (n - 1) // 2 > 4 * m
+        _same_graph(erdos_renyi_gnm(n, m, seed), reference_erdos_renyi_gnm(n, m, seed))
+
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    @pytest.mark.parametrize(("n", "m"), [(12, 17), (20, 150), (5, 10), (2, 1), (1, 0), (5, 0)])
+    def test_er_dense_and_empty(self, n, m, seed):
+        if m:
+            assert n * (n - 1) // 2 <= 4 * m
+        _same_graph(erdos_renyi_gnm(n, m, seed), reference_erdos_renyi_gnm(n, m, seed))
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    @pytest.mark.parametrize(
+        ("n", "k", "p"),
+        [(52, 6, 0.0), (52, 6, 0.1), (52, 6, 1.0), (200, 10, 0.1),
+         (9, 8, 0.5), (10, 8, 1.0), (11, 8, 1.0), (3, 2, 1.0)],
+    )
+    def test_ws(self, n, k, p, seed):
+        _same_graph(watts_strogatz(n, k, p, seed), reference_watts_strogatz(n, k, p, seed))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(ugraphs(), st.integers(0, 60), st.integers(-(2**40), 2**40))
+    def test_rewire_hypothesis(self, ug, attempts, seed):
+        assume(ug.edge_count >= 2)
+        _same_graph(degree_preserving_rewire(ug, attempts, seed),
+                    reference_rewire(ug, attempts, seed))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_er_hypothesis(self, n, fraction, seed):
+        m = int(fraction * (n * (n - 1) // 2))
+        _same_graph(erdos_renyi_gnm(n, m, seed), reference_erdos_renyi_gnm(n, m, seed))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(3, 40), st.data(), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_ws_hypothesis(self, n, data, p, seed):
+        k = 2 * data.draw(st.integers(1, (n - 1) // 2))
+        _same_graph(watts_strogatz(n, k, p, seed), reference_watts_strogatz(n, k, p, seed))
+
+    @pytest.mark.parametrize(
+        ("model", "args", "error"),
+        [
+            ("er", (0, 0, 1), EmptyNodeSetError),
+            ("er", (-1, 1, 1), EmptyNodeSetError),
+            ("er", (4, 7, 1), TooManyEdgesError),
+            ("er", (5, -1, 1), ValueError),
+            ("ws", (10, 3, 0.1, 1), BadLatticeDegreeError),
+            ("ws", (10, 10, 0.1, 1), BadLatticeDegreeError),
+            ("ws", (10, 4, 1.5, 1), ValueError),
+            ("rewire", (make_ugraph("ab", [("a", "b")]), 10, 1), TooFewEdgesError),
+        ],
+    )
+    def test_same_errors(self, model, args, error):
+        library = {"er": erdos_renyi_gnm, "ws": watts_strogatz, "rewire": degree_preserving_rewire}
+        reference = {"er": reference_erdos_renyi_gnm, "ws": reference_watts_strogatz,
+                     "rewire": reference_rewire}
+        with pytest.raises(error) as want:
+            reference[model](*args)
+        with pytest.raises(error) as got:
+            library[model](*args)
+        assert str(got.value) == str(want.value)
 
 
 class TestAssessment:
