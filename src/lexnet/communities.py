@@ -1,12 +1,18 @@
 """Modularity and greedy agglomerative community detection.
 
-The greedy method starts from singleton communities and repeatedly merges
-the connected community pair with the largest modularity gain, maintained
-incrementally in a lazily invalidated heap. Merging continues until no
-connected pair remains (each weakly connected component has collapsed to
-one community); the partition reported is the best-Q state encountered
-along the merge path. Isolated vertices never join a merge and stay
-singleton communities.
+The greedy method (Clauset, Newman & Moore 2004) starts from singleton
+communities and repeatedly merges the connected community pair with the
+largest modularity gain. Candidate pairs sit in one heap that holds
+exactly one entry per connected pair with the pair's current edge count;
+an entry's gain may be older, but a gain only falls while the edge count
+stays fixed, so an old entry never sorts after the pair's true key. A
+merge pushes entries only for the pairs whose edge count it changed; an
+entry that surfaces with out-of-date degree sums is re-keyed and pushed
+back, and the first entry that surfaces up to date is the true maximum
+(see ``cnm_trace``). Merging continues until no connected pair remains
+(each weakly connected component has collapsed to one community); the
+partition reported is the best-Q state encountered along the merge path.
+Isolated vertices never join a merge and stay singleton communities.
 """
 
 from __future__ import annotations
@@ -93,6 +99,25 @@ def cnm_trace(ug: UGraph) -> CnmTrace:
     makes the run fully deterministic for a given labeling (reports are
     byte-stable), at the price that relabeling nodes can resolve a gain
     tie differently and land on another local optimum.
+
+    Every connected community pair has exactly one heap entry carrying its
+    current edge count e; the gain, degree sums and labels in that entry
+    may be older. A merge of ``small`` into ``big`` changes e only for
+    ``(big, x)`` with x a neighbor of ``small``, so only those pairs get a
+    new entry; the entries they replace no longer match e and are dropped
+    when popped. Every other ``(big, x)`` keeps e while a degree sum grew,
+    so its gain only fell and its entry still sorts no later than the
+    pair's true key. A popped entry whose degree sums changed is pushed
+    back with its current gain and labels; the first popped entry whose
+    degree sums are current therefore carries the true largest key, and
+    the merge path equals the one that re-keys every neighbor pair.
+
+    The float gain ``e/m - d_a d_b / 2m^2`` must drop strictly when a
+    degree sum grows at fixed e, or a stale entry could tie with its true
+    gain while holding the larger labels of before the merge. With
+    m <= 2^25 edges the degree product is exact and one step of it moves
+    the gain by more than one unit in the last place, so the drop is
+    strict; near 2^26 edges rounding can hide it.
     """
     m = ug.edge_count
     if m == 0:
@@ -117,8 +142,7 @@ def cnm_trace(ug: UGraph) -> CnmTrace:
         nbr[v][u] = 1
 
     # heap entries: (-dq, label_a, label_b, a, b, e_ab, deg_a, deg_b) with
-    # label_a < label_b; an entry is stale as soon as either community's
-    # degree sum changed (every merge strictly increases it).
+    # label_a < label_b at push time
     heap: list[tuple] = []
     for u, v in ug.edges():
         du = comm_deg[u]
@@ -133,18 +157,29 @@ def cnm_trace(ug: UGraph) -> CnmTrace:
     merge_rows: list[tuple[int, int, float, float]] = []
     heappop = heapq.heappop
     heappush = heapq.heappush
-    deg_of = comm_deg.get
+    nbr_of = nbr.get
 
     while heap:
         neg_dq, la, lb, a, b, e, da, db = heappop(heap)
-        if deg_of(a) != da or deg_of(b) != db:
+        a_nbrs = nbr_of(a)
+        if a_nbrs is None or a_nbrs.get(b) != e:
+            continue  # a side was merged away, or e has grown since
+        if comm_deg[a] != da or comm_deg[b] != db:
+            # e is current but the gain fell: re-key, surface again later
+            da = comm_deg[a]
+            db = comm_deg[b]
+            la = label[a]
+            lb = label[b]
+            ndq = e * inv_m - da * db * inv_2m2
+            if la < lb:
+                heappush(heap, (-ndq, la, lb, a, b, e, da, db))
+            else:
+                heappush(heap, (-ndq, lb, la, b, a, e, db, da))
             continue
-        if nbr[a].get(b) != e:
-            continue
-        dq = e * inv_m - da * db * inv_2m2
+        dq = -neg_dq
         q += dq
 
-        if len(nbr[a]) <= len(nbr[b]):
+        if len(a_nbrs) <= len(nbr[b]):
             small, big = a, b
         else:
             small, big = b, a
@@ -152,31 +187,29 @@ def cnm_trace(ug: UGraph) -> CnmTrace:
         big_nbrs = nbr[big]
         del small_nbrs[big]
         del big_nbrs[small]
+        d_big = da + db
+        comm_deg[big] = d_big
+        del comm_deg[small]
+        label[big] = la  # la < lb by construction
+        del label[small]
         for x, ex in small_nbrs.items():
             x_nbrs = nbr[x]
             del x_nbrs[small]
             merged = big_nbrs.get(x, 0) + ex
             big_nbrs[x] = merged
             x_nbrs[big] = merged
-        d_big = da + db
-        comm_deg[big] = d_big
-        del comm_deg[small]
-        label[big] = la  # la < lb by construction
-        del label[small]
+            dx = comm_deg[x]
+            lx = label[x]
+            ndq = merged * inv_m - d_big * dx * inv_2m2
+            if la < lx:
+                heappush(heap, (-ndq, la, lx, big, x, merged, d_big, dx))
+            else:
+                heappush(heap, (-ndq, lx, la, x, big, merged, dx, d_big))
 
         merge_rows.append((la, lb, dq, q))
         if q > best_q:
             best_q = q
             best_index = len(merge_rows)
-
-        for x, ex in big_nbrs.items():
-            dx = comm_deg[x]
-            lx = label[x]
-            ndq = ex * inv_m - d_big * dx * inv_2m2
-            if la < lx:
-                heappush(heap, (-ndq, la, lx, big, x, ex, d_big, dx))
-            else:
-                heappush(heap, (-ndq, lx, la, x, big, ex, dx, d_big))
 
     merges = tuple(CnmMerge(*row) for row in merge_rows)
     return CnmTrace(n, m, q_initial, merges, best_index, best_q)

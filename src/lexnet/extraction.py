@@ -52,7 +52,10 @@ def normalize_text(text: str) -> str:
     for ch in _APOSTROPHES:
         text = text.replace(ch, "'")
     decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    if decomposed.isascii():
+        stripped = decomposed  # no combining marks to strip
+    else:
+        stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     lowered = stripped.lower()
     for ligature, expansion in _LIGATURES.items():
         lowered = lowered.replace(ligature, expansion)

@@ -222,19 +222,20 @@ def normalized_rich_club(
 
 
 def triangles_per_node(ug: UGraph) -> list[int]:
-    """Number of triangles each node participates in."""
-    adj = ug.adjacency()
-    counts = [0] * ug.node_count
-    for v in range(ug.node_count):
-        nbrs = sorted(adj[v])
-        t = 0
-        for i in range(len(nbrs)):
-            a = adj[nbrs[i]]
-            for j in range(i + 1, len(nbrs)):
-                if nbrs[j] in a:
-                    t += 1
-        counts[v] = t
-    return counts
+    """Number of triangles each node participates in.
+
+    Each edge {u, v} lies on |N(u) & N(v)| triangles; summing that over
+    the edges at a node counts each of its triangles twice, once per edge.
+    """
+    adj = ug._adj  # read only
+    twice = [0] * len(adj)
+    for v, nbrs in enumerate(adj):
+        for u in nbrs:
+            if u > v:
+                shared = len(nbrs & adj[u])
+                twice[v] += shared
+                twice[u] += shared
+    return [t // 2 for t in twice]
 
 
 class ClusteringSummary(NamedTuple):
@@ -253,8 +254,9 @@ def global_clustering(ug: UGraph) -> ClusteringSummary:
     triangle_total = sum(tri) // 3
     triples = 0
     local = []
+    adj = ug._adj  # read only
     for v in ug.node_ids():
-        d = ug.degree(v)
+        d = len(adj[v])
         if d >= 2:
             pairs = d * (d - 1) // 2
             triples += pairs

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+import unicodedata
 from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
-from lexnet.errors import BadLatticeDegreeError, TooFewEdgesError, TooManyEdgesError
+from lexnet.communities import CnmMerge, CnmTrace
+from lexnet.errors import (
+    BadLatticeDegreeError,
+    EmptyGraphError,
+    TooFewEdgesError,
+    TooManyEdgesError,
+)
+from lexnet.extraction import _APOSTROPHES, _LIGATURES
 from lexnet.graph import DiGraph, UGraph
+from lexnet.metrics import ClusteringSummary
 
 
 @st.composite
@@ -349,6 +359,158 @@ def reference_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
     for u, v in edges:
         result.add_edge(u, v)
     return result
+
+
+# -- reference kernels ----------------------------------------------------------
+# Library functions as they were before a speed-up that must not change
+# their results, kept verbatim apart from their names.
+
+
+def reference_normalize_text(text: str) -> str:
+    """normalize_text with the combining-mark filter run on every text."""
+    for ch in _APOSTROPHES:
+        text = text.replace(ch, "'")
+    decomposed = unicodedata.normalize("NFKD", text)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    lowered = stripped.lower()
+    for ligature, expansion in _LIGATURES.items():
+        lowered = lowered.replace(ligature, expansion)
+    for ch in _APOSTROPHES:
+        lowered = lowered.replace(ch, "'")
+    return " ".join(lowered.split())
+
+
+def reference_triangles_per_node(ug: UGraph) -> list[int]:
+    """Triangles per node by testing every sorted neighbor pair of a copy."""
+    adj = ug.adjacency()
+    counts = [0] * ug.node_count
+    for v in range(ug.node_count):
+        nbrs = sorted(adj[v])
+        t = 0
+        for i in range(len(nbrs)):
+            a = adj[nbrs[i]]
+            for j in range(i + 1, len(nbrs)):
+                if nbrs[j] in a:
+                    t += 1
+        counts[v] = t
+    return counts
+
+
+def reference_global_clustering(ug: UGraph) -> ClusteringSummary:
+    """global_clustering over reference_triangles_per_node and checked degrees."""
+    tri = reference_triangles_per_node(ug)
+    triangle_total = sum(tri) // 3
+    triples = 0
+    local = []
+    for v in ug.node_ids():
+        d = ug.degree(v)
+        if d >= 2:
+            pairs = d * (d - 1) // 2
+            triples += pairs
+            local.append(tri[v] / pairs)
+    transitivity = 3.0 * triangle_total / triples if triples else 0.0
+    average_local = sum(local) / len(local) if local else 0.0
+    return ClusteringSummary(transitivity, average_local)
+
+
+# -- reference greedy modularity ---------------------------------------------------
+
+
+def reference_cnm_trace(ug: UGraph) -> CnmTrace:
+    """The greedy merge loop that re-keys every neighbor pair after a merge.
+
+    After each merge it pushes one fresh entry per neighbor of the merged
+    community and drops any entry whose degree sums went out of date, so
+    every fresh pop holds its true key. Kept as it was before the library
+    loop learned to push only the pairs a merge changed: both must give
+    equal traces.
+    """
+    m = ug.edge_count
+    if m == 0:
+        raise EmptyGraphError("community detection needs at least one edge")
+    n = ug.node_count
+    inv_m = 1.0 / m
+    inv_2m2 = 1.0 / (2.0 * m * m)
+    two_m = 2.0 * m
+
+    comm_deg: dict[int, int] = {}
+    label: dict[int, int] = {}
+    nbr: dict[int, dict[int, int]] = {}
+    q = 0.0
+    for v in range(n):
+        d = ug.degree(v)
+        comm_deg[v] = d
+        label[v] = v
+        nbr[v] = {}
+        q -= (d / two_m) ** 2
+    for u, v in ug.edges():
+        nbr[u][v] = 1
+        nbr[v][u] = 1
+
+    # heap entries: (-dq, label_a, label_b, a, b, e_ab, deg_a, deg_b) with
+    # label_a < label_b; an entry is stale as soon as either community's
+    # degree sum changed (every merge strictly increases it).
+    heap: list[tuple] = []
+    for u, v in ug.edges():
+        du = comm_deg[u]
+        dv = comm_deg[v]
+        dq = inv_m - du * dv * inv_2m2
+        heap.append((-dq, u, v, u, v, 1, du, dv))
+    heapq.heapify(heap)
+
+    q_initial = q
+    best_q = q
+    best_index = 0
+    merge_rows: list[tuple[int, int, float, float]] = []
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    deg_of = comm_deg.get
+
+    while heap:
+        neg_dq, la, lb, a, b, e, da, db = heappop(heap)
+        if deg_of(a) != da or deg_of(b) != db:
+            continue
+        if nbr[a].get(b) != e:
+            continue
+        dq = e * inv_m - da * db * inv_2m2
+        q += dq
+
+        if len(nbr[a]) <= len(nbr[b]):
+            small, big = a, b
+        else:
+            small, big = b, a
+        small_nbrs = nbr.pop(small)
+        big_nbrs = nbr[big]
+        del small_nbrs[big]
+        del big_nbrs[small]
+        for x, ex in small_nbrs.items():
+            x_nbrs = nbr[x]
+            del x_nbrs[small]
+            merged = big_nbrs.get(x, 0) + ex
+            big_nbrs[x] = merged
+            x_nbrs[big] = merged
+        d_big = da + db
+        comm_deg[big] = d_big
+        del comm_deg[small]
+        label[big] = la  # la < lb by construction
+        del label[small]
+
+        merge_rows.append((la, lb, dq, q))
+        if q > best_q:
+            best_q = q
+            best_index = len(merge_rows)
+
+        for x, ex in big_nbrs.items():
+            dx = comm_deg[x]
+            lx = label[x]
+            ndq = ex * inv_m - d_big * dx * inv_2m2
+            if la < lx:
+                heappush(heap, (-ndq, la, lx, big, x, ex, d_big, dx))
+            else:
+                heappush(heap, (-ndq, lx, la, x, big, ex, dx, d_big))
+
+    merges = tuple(CnmMerge(*row) for row in merge_rows)
+    return CnmTrace(n, m, q_initial, merges, best_index, best_q)
 
 
 # Report defects that export would otherwise crash on, or carry into its

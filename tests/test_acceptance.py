@@ -366,11 +366,13 @@ def test_criterion_8_extraction_golden_suite():
 def test_criterion_9_scale_sanity():
     """Greedy community detection finishes a 10k-node, 50k-edge graph in time."""
     ug = erdos_renyi_gnm(10_000, 50_000, seed=2024)
+    # re-keying every neighbor pair after each merge took about 11 s here (2
+    # vCPUs); pushing only the pairs a merge changed takes about 0.5 s
     started = time.monotonic()
     partition = cnm_communities(ug)
     elapsed = time.monotonic() - started
     ok = (
-        elapsed < 60.0
+        elapsed < 5.0
         and len(partition.assignment) == 10_000
         and partition.community_count >= 1
     )

@@ -1,8 +1,13 @@
 """Modularity, greedy agglomeration, the exhaustive oracle, reduced networks."""
 
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+
+from lexnet import communities
 
 from lexnet.communities import (
     assignment_after,
@@ -14,9 +19,11 @@ from lexnet.communities import (
     restricted_growth_strings,
 )
 from lexnet.errors import EmptyGraphError, PartialAssignmentError, TooLargeError
+from lexnet.graph import UGraph
 from lexnet.metrics import rich_club_members
+from lexnet.nullmodels import erdos_renyi_gnm, watts_strogatz
 
-from conftest import make_digraph, make_ugraph, random_ugraph
+from conftest import make_digraph, make_ugraph, random_ugraph, reference_cnm_trace, ugraphs
 
 
 def two_disjoint_triangles():
@@ -200,6 +207,92 @@ def test_cnm_reproduces_karate_club_result():
         (partition.assignment.count(c) for c in set(partition.assignment)), reverse=True
     )
     assert sizes == [17, 9, 8]
+
+
+def _ugraph(n, edges):
+    ug = UGraph(n)
+    for u, v in edges:
+        ug.add_edge(u, v)
+    return ug
+
+
+def _tie_heavy_graphs():
+    """Regular and symmetric shapes where many pairs share one gain, by name."""
+    grid = [(r * 12 + c, r * 12 + c + 1) for r in range(12) for c in range(11)]
+    grid += [(r * 12 + c, (r + 1) * 12 + c) for r in range(11) for c in range(12)]
+    cliques = [(6 * i + a, 6 * i + b) for i in range(6) for a in range(6) for b in range(a + 1, 6)]
+    cliques += [(6 * i + 5, 6 * i + 6) for i in range(5)]
+    return {
+        "ring_lattice": watts_strogatz(60, 4, 0.0, seed=0),
+        "star": _ugraph(41, [(0, v) for v in range(1, 41)]),
+        "path": _ugraph(60, [(v, v + 1) for v in range(59)]),
+        "complete": _ugraph(15, [(u, v) for u in range(15) for v in range(u + 1, 15)]),
+        "grid": _ugraph(144, grid),
+        "bipartite": _ugraph(40, [(u, v) for u in range(20) for v in range(20, 40)]),
+        "clique_chain": _ugraph(36, cliques),
+        "karate": _ugraph(34, KARATE_EDGES),
+    }
+
+
+def _split_graphs():
+    """Graphs with isolated nodes and several components, by name."""
+    triangles = [(3 * i + a, 3 * i + b) for i in range(5) for a, b in [(0, 1), (1, 2), (0, 2)]]
+    return {
+        "triangles_and_isolated": _ugraph(20, triangles),
+        "isolated_first": _ugraph(6, [(1, 2), (2, 3), (4, 5)]),
+        "pairs": _ugraph(10, [(v, v + 1) for v in range(0, 10, 2)]),
+        "sparse_random": random_ugraph(random.Random(83), 200, 120),
+        "paths_and_stars": _ugraph(30, [(v, v + 1) for v in range(9)]
+                                   + [(10, v) for v in range(11, 20)] + [(25, 26)]),
+    }
+
+
+class TestAgainstReferenceLoop:
+    """The loop that pushes only changed pairs gives the re-key-everything trace."""
+
+    @pytest.mark.parametrize(("n", "m", "seed"), [(20, 40, 1), (52, 156, 2), (300, 900, 3),
+                                                  (400, 150, 4), (2000, 10_000, 11)])
+    def test_erdos_renyi(self, n, m, seed):
+        ug = erdos_renyi_gnm(n, m, seed)
+        assert cnm_trace(ug) == reference_cnm_trace(ug)
+
+    @pytest.mark.parametrize(("n", "k", "p", "seed"), [(52, 6, 0.1, 1), (200, 6, 0.05, 2),
+                                                       (500, 10, 0.3, 3), (2000, 10, 0.1, 4)])
+    def test_watts_strogatz(self, n, k, p, seed):
+        ug = watts_strogatz(n, k, p, seed)
+        assert cnm_trace(ug) == reference_cnm_trace(ug)
+
+    @pytest.mark.parametrize("name", sorted(_tie_heavy_graphs()))
+    def test_tie_heavy_shapes(self, name):
+        ug = _tie_heavy_graphs()[name]
+        assert cnm_trace(ug) == reference_cnm_trace(ug)
+
+    @pytest.mark.parametrize("name", sorted(_split_graphs()))
+    def test_isolated_nodes_and_components(self, name):
+        ug = _split_graphs()[name]
+        assert cnm_trace(ug) == reference_cnm_trace(ug)
+
+    @given(ugraphs())
+    @settings(max_examples=300, derandomize=True)
+    def test_property(self, ug):
+        assume(ug.edge_count > 0)
+        assert cnm_trace(ug) == reference_cnm_trace(ug)
+
+    def test_pushes_stay_linear_in_edges(self, monkeypatch):
+        pushes = 0
+
+        def counting_push(heap, item):
+            nonlocal pushes
+            pushes += 1
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(communities, "heapq", SimpleNamespace(
+            heapify=heapq.heapify, heappop=heapq.heappop, heappush=counting_push))
+        ug = erdos_renyi_gnm(2000, 10_000, seed=11)
+        cnm_trace(ug)
+        # re-keying every neighbor pair after each merge pushes 378,473
+        # entries on this graph; pushing only changed pairs pushes 25,110
+        assert 0 < pushes <= 3 * ug.edge_count
 
 
 class TestBruteForce:

@@ -1,6 +1,9 @@
 """Citation extraction: normalization, registry loading, mention scanning."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,24 @@ from lexnet.extraction import (
     load_registry,
     normalize_text,
 )
+from lexnet.fixture import fixture_corpus
+
+from conftest import reference_normalize_text
+
+# characters that exercise every folding step: accents in both cases,
+# ligatures, every apostrophe variant, spacing marks that decompose into
+# combining marks, no-break space, U+0149 (decomposes to U+02BC + n)
+_FOLDED = "éèêëàçôöûÉÈÇÔœŒæÆﬁﬂ’‘ʼ`´¨\u00a0\u0149 \t\n'aZ"
+
+
+def _perfbench_workloads():
+    """The benchmark's workload generators, loaded from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestNormalizeText:
@@ -49,6 +70,25 @@ class TestNormalizeText:
     def test_idempotent(self, text):
         once = normalize_text(text)
         assert normalize_text(once) == once
+
+    @given(st.text(st.one_of(st.sampled_from(_FOLDED), st.characters()), max_size=80))
+    @settings(max_examples=300, derandomize=True)
+    def test_matches_unconditional_mark_filter(self, text):
+        assert normalize_text(text) == reference_normalize_text(text)
+
+    def test_matches_unconditional_mark_filter_on_fixture_corpus(self):
+        texts = fixture_corpus().values()
+        assert not all(text.isascii() for text in texts)
+        for text in texts:
+            assert normalize_text(text) == reference_normalize_text(text)
+
+    def test_matches_unconditional_mark_filter_on_large_corpus(self, tmp_path):
+        _perfbench_workloads().make_corpus_large(tmp_path, seed=1)
+        paths = sorted((tmp_path / "corpus").iterdir())
+        assert len(paths) == 1000
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert normalize_text(text) == reference_normalize_text(text)
 
 
 REGISTRY_TEXT = """\

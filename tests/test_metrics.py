@@ -23,6 +23,7 @@ from lexnet.metrics import (
     rich_club_members,
     top_cited,
     top_citing,
+    triangles_per_node,
 )
 from lexnet.nullmodels import erdos_renyi_gnm, watts_strogatz
 
@@ -35,7 +36,9 @@ from conftest import (
     random_ugraph,
     reference_average_path_length,
     reference_betweenness,
+    reference_global_clustering,
     reference_harmonic_closeness,
+    reference_triangles_per_node,
     ugraphs,
 )
 
@@ -327,6 +330,27 @@ class TestClustering:
         summary = global_clustering(bridge_ugraph)
         assert summary.transitivity == pytest.approx(0.6, abs=1e-15)
         assert summary.average_local == pytest.approx(7 / 9, abs=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(_shaped_graphs()))
+    def test_matches_pair_scan_on_shapes(self, name):
+        ug = _shaped_graphs()[name]
+        assert triangles_per_node(ug) == reference_triangles_per_node(ug)
+        assert global_clustering(ug) == reference_global_clustering(ug)
+
+    def test_matches_pair_scan_on_seeded_graphs(self):
+        graphs = _seeded_graphs()
+        for seed in range(20):
+            graphs.append(erdos_renyi_gnm(52, 241, seed))
+            graphs.append(watts_strogatz(52, 8, 0.1, seed))
+        for ug in graphs:
+            assert triangles_per_node(ug) == reference_triangles_per_node(ug)
+            assert global_clustering(ug) == reference_global_clustering(ug)
+
+    @given(ugraphs())
+    @settings(max_examples=200, derandomize=True)
+    def test_matches_pair_scan_property(self, ug):
+        assert triangles_per_node(ug) == reference_triangles_per_node(ug)
+        assert global_clustering(ug) == reference_global_clustering(ug)
 
 
 class TestPathLength:
