@@ -64,7 +64,7 @@ _COMMAND_SECTIONS = {
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InvalidEncodingError(f"{path}: {exc}") from exc
     except OSError as exc:

@@ -18,8 +18,7 @@ Isolated vertices never join a merge and stay singleton communities.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyGraphError, PartialAssignmentError, TooLargeError
 from .graph import DiGraph, UGraph
@@ -53,8 +52,7 @@ def modularity(ug: UGraph, assignment: Sequence[int]) -> float:
     return q
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """A total assignment of nodes to dense community indices, plus its Q."""
 
     assignment: tuple[int, ...]
@@ -71,16 +69,14 @@ class Partition:
         return groups
 
 
-@dataclass(frozen=True)
-class CnmMerge:
+class CnmMerge(NamedTuple):
     a: int  # smaller community index at merge time
     b: int  # larger community index at merge time
     delta_q: float
     q_after: float
 
 
-@dataclass(frozen=True)
-class CnmTrace:
+class CnmTrace(NamedTuple):
     """Full merge history of a greedy run, for auditing and replay."""
 
     node_count: int
@@ -309,15 +305,13 @@ def brute_force_best_partition(ug: UGraph) -> tuple[tuple[int, ...], float]:
 # -- the reduced-network workflow ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MainCommunity:
+class MainCommunity(NamedTuple):
     index: int
     size: int
     members: tuple[str, ...]  # slugs, sorted
 
 
-@dataclass(frozen=True)
-class CommunityReport:
+class CommunityReport(NamedTuple):
     """Partition of the network left after discarding the rich club."""
 
     partition: Partition

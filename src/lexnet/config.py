@@ -5,14 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """Everything the analysis pipeline can be steered with.
 
     The ranking sizes default to the five most-citing and six most-cited
@@ -40,35 +38,29 @@ class PipelineConfig:
         bool is neither an integer nor a number here, and floats must be
         finite.
         """
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, int):
+        for name, default in self._field_defaults.items():
+            value = getattr(self, name)
+            if isinstance(default, int):
                 if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-                if f.name != "seed" and value < 1:
-                    raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+                if name != "seed" and value < 1:
+                    raise ConfigError(f"{name} must be a positive integer, got {value!r}")
             else:
                 finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
                 if isinstance(value, bool) or not finite:
-                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+                    raise ConfigError(f"{name} must be a finite number, got {value!r}")
                 if value < 0:
-                    raise ConfigError(f"{f.name} must be non-negative, got {value!r}")
+                    raise ConfigError(f"{name} must be non-negative, got {value!r}")
         if self.ws_p > 1:
             raise ConfigError(f"ws_p must be in [0, 1], got {self.ws_p!r}")
 
-    def to_mapping(self) -> dict[str, Any]:
-        return asdict(self)
-
     def digest(self) -> str:
-        payload = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
+        payload = json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_FIELD_NAMES = {f.name for f in fields(PipelineConfig)}
-
-
 def config_from_mapping(mapping: Mapping[str, Any]) -> PipelineConfig:
-    unknown = set(mapping) - _FIELD_NAMES
+    unknown = set(mapping).difference(PipelineConfig._fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config = PipelineConfig(**mapping)

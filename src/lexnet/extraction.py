@@ -24,8 +24,7 @@ import os
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     AmbiguousAliasError,
@@ -122,8 +121,7 @@ def _trie_pattern(aliases: Iterable[str]) -> str:
     return done[0]
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     slug: str
     display_name: str
     aliases: tuple[str, ...]  # normalized
@@ -204,14 +202,12 @@ def load_registry(content: str) -> CodeRegistry:
     return CodeRegistry(entries)
 
 
-@dataclass(frozen=True)
-class CodeDocument:
+class CodeDocument(NamedTuple):
     slug: str
     text: str
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     """One occurrence of another code's name inside a document.
 
     The offset is the character position of the match in the normalized
@@ -238,15 +234,13 @@ def find_citations(doc: CodeDocument, registry: CodeRegistry) -> list[Mention]:
     return mentions
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     citing_slug: str
     cited_slug: str
     count: int
 
 
-@dataclass(frozen=True)
-class EdgeList:
+class EdgeList(NamedTuple):
     """Aggregated citation records, sorted by (citing, cited) slug."""
 
     records: tuple[EdgeRecord, ...]

@@ -8,7 +8,6 @@ explicitly weighted variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -50,8 +49,7 @@ def classify_role(in_degree: int, out_degree: int) -> Role:
     return Role.ORDINARY
 
 
-@dataclass(frozen=True)
-class NodeStats:
+class NodeStats(NamedTuple):
     node: NodeId
     in_degree: int
     out_degree: int
@@ -105,8 +103,7 @@ def top_cited(g: DiGraph, k: int) -> Ranking:
     return _top_by_degree(g, k, g.in_degree)
 
 
-@dataclass(frozen=True)
-class RichClub:
+class RichClub(NamedTuple):
     """The union of the most-citing and most-cited nodes plus cohesion stats.
 
     quotation_capture is the fraction of arcs with at least one endpoint in

@@ -8,8 +8,7 @@ independent of evaluation order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import PipelineConfig
 from .errors import (
@@ -185,8 +184,7 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
 # -- baseline statistics -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NullModelStats:
+class NullModelStats(NamedTuple):
     """Sample statistics of one baseline family."""
 
     model: str  # er_gnm | watts_strogatz | rewired
@@ -240,8 +238,7 @@ def ws_baseline(n: int, k_even: int, p: float, samples: int, seed: int) -> NullM
 VERDICTS = ("concentrated_world", "small_world_like", "sparse_random_like", "inconclusive")
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(NamedTuple):
     """Observed statistics against ER and WS baselines, plus the verdict."""
 
     observed_density: float

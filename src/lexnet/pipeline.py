@@ -10,7 +10,6 @@ other sections were computed.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
@@ -137,7 +136,7 @@ def build_baseline_sections(
     g: DiGraph, ug: UGraph, rich_club_present: bool, config: PipelineConfig
 ) -> tuple[list, dict]:
     assessment = concentrated_world_assessment(g, ug, rich_club_present, config)
-    baselines = [asdict(stats) for stats in assessment.baselines]
+    baselines = [stats._asdict() for stats in assessment.baselines]
     assessment_section = {
         "observed": {
             "density": assessment.observed_density,
@@ -156,7 +155,7 @@ def build_baseline_sections(
 def build_provenance(config: PipelineConfig, inputs: Sequence[str], run_id: str) -> dict:
     return {
         "inputs": list(inputs),
-        "config": config.to_mapping(),
+        "config": config._asdict(),
         "config_digest": config.digest(),
         "seed": config.seed,
         "tool_version": __version__,

@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import fields
 from typing import Any, Collection, Mapping
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import (
     EmptyInputError,
@@ -168,6 +166,27 @@ def write_dot(
     return "\n".join(lines) + "\n"
 
 
+def _escape(text: str) -> str:
+    """XML character data: ``&``, ``>`` and ``<`` as entities, in that order."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """A quoted XML attribute value, as the standard library's ``saxutils.quoteattr`` quotes it.
+
+    Tab, newline and carriage return become character references so that
+    attribute-value normalization keeps them. The value is double-quoted
+    unless it holds a ``"`` and no ``'``; holding both, its ``"`` become
+    ``&quot;``.
+    """
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 _GRAPHML_NODE_KEYS = (
     ("d_display", "display_name", "string"),
     ("d_role", "role", "string"),
@@ -205,10 +224,10 @@ def write_graphml(
     by_slug = {g.slug(v): v for v in g.node_ids()}
     for slug in sorted(by_slug):
         v = by_slug[slug]
-        lines.append(f"    <node id={quoteattr(slug)}>")
+        lines.append(f"    <node id={_quoteattr(slug)}>")
         # the display name is the slug
-        lines.append(f"      <data key=\"d_display\">{escape(slug)}</data>")
-        lines.append(f"      <data key=\"d_role\">{escape(roles[slug])}</data>")
+        lines.append(f"      <data key=\"d_display\">{_escape(slug)}</data>")
+        lines.append(f"      <data key=\"d_role\">{_escape(roles[slug])}</data>")
         lines.append(f"      <data key=\"d_in\">{g.in_degree(v)}</data>")
         lines.append(f"      <data key=\"d_out\">{g.out_degree(v)}</data>")
         if communities is not None and slug in communities:
@@ -218,7 +237,7 @@ def write_graphml(
     rows = sorted((g.slug(s), g.slug(t), w) for s, t, w in g.arcs())
     for citing, cited, count in rows:
         lines.append(
-            f"    <edge source={quoteattr(citing)} target={quoteattr(cited)}>"
+            f"    <edge source={_quoteattr(citing)} target={_quoteattr(cited)}>"
             f'<data key="e_count">{count}</data></edge>'
         )
     lines.append("  </graph>")
@@ -297,7 +316,7 @@ _ASSESSMENT_KEYS = (
     "verdict",
 )
 _CENTRALITY_KINDS = ("degree", "betweenness", "closeness")
-_BASELINE_KEYS = tuple(f.name for f in fields(NullModelStats))
+_BASELINE_KEYS = NullModelStats._fields
 
 
 def validate_report_payload(payload: Any) -> None:

@@ -4,10 +4,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+import typing
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -272,6 +275,44 @@ class TestExport:
         ) == 2
 
 
+def test_byte_order_mark_is_not_part_of_an_input(fixture_dir, tmp_path, monkeypatch):
+    # an editor may save UTF-8 with a leading U+FEFF; every input is read
+    # without it, so marked inputs give the bytes of unmarked ones
+    registry = [
+        line
+        for line in (fixture_dir / "registry.tsv").read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")  # an entry first, so a kept mark would enter a slug
+    ]
+    outputs = {}
+    for name, mark in (("plain", ""), ("marked", "\ufeff")):
+        root = tmp_path / name
+        (root / "corpus").mkdir(parents=True)
+        monkeypatch.chdir(root)
+
+        def write(path, text, mark=mark):
+            Path(path).write_text(mark + text, encoding="utf-8")
+
+        write("registry.tsv", "\n".join(registry) + "\n")
+        for doc in sorted((fixture_dir / "corpus").glob("*.txt")):
+            write(f"corpus/{doc.name}", doc.read_text(encoding="utf-8"))
+        assert run(["extract", "--corpus", "corpus", "--registry", "registry.tsv",
+                    "--out", "edges.tsv", "--nodes-out", "nodes.txt"]) == 0
+        files = {f: Path(f).read_bytes() for f in ("edges.tsv", "nodes.txt")}
+        for f in files:
+            write(f, files[f].decode("utf-8"))
+        write("config.json", '{"null_samples": 2}')
+        assert run(["analyze", "--edges", "edges.tsv", "--nodes", "nodes.txt",
+                    "--config", "config.json", "--out", "report.json"]) == 0
+        files["report.json"] = Path("report.json").read_bytes()
+        write("report.json", files["report.json"].decode("utf-8"))
+        assert run(["export", "--edges", "edges.tsv", "--nodes", "nodes.txt", "--report",
+                    "report.json", "--dot", "graph.dot", "--graphml", "graph.graphml"]) == 0
+        files.update({f: Path(f).read_bytes() for f in ("graph.dot", "graph.graphml")})
+        outputs[name] = files
+    assert outputs["marked"] == outputs["plain"]
+    assert json.loads(outputs["plain"]["report.json"])["graph_summary"]["n"] == 52
+
+
 @pytest.fixture(scope="module")
 def report_payload(extracted, tmp_path_factory):
     out = tmp_path_factory.mktemp("report") / "report.json"
@@ -427,21 +468,24 @@ class TestExitCodes:
 
 
 # Edge lists, sidecars and configs for the fuzz test below. Slugs mix the
-# characters that need escaping or stripping, or that start a comment; at
-# most one record and one config value are broken, so most runs get far
-# enough to analyze.
-_SLUGS = st.tuples(st.sampled_from("abcé"), st.text(alphabet='ab"\\ é#', max_size=3)).map("".join)
+# characters that need escaping in DOT or XML, or stripping, or that start
+# a comment; at most one record and one config value are broken, so most
+# runs get far enough to analyze. Small graphs mostly exit 4 (the rich
+# club leaves no edge), so pools reach 10 slugs and 4-16 arcs to let some
+# analyze runs succeed and reach the export check.
+_SLUGS = st.tuples(st.sampled_from("abcé"), st.text(alphabet='ab"\\ é#&<>\'', max_size=3)).map("".join)
 _BAD_RECORDS = ["a\ta\t1", "a\tb\t0", "a\tb\tx", " \tb\t1", "#a\tb\t1", "lonely"]
 _BAD_VALUES = [True, False, float("nan"), float("inf"), -1, 0, "2", None]
-_CONFIG_KEYS = [f.name for f in fields(PipelineConfig)] + ["unknown_key"]
+_CONFIG_KEYS = [*PipelineConfig._fields, "unknown_key"]
+_GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
 
 @st.composite
 def _cli_inputs(draw):
-    pool = draw(st.lists(_SLUGS, min_size=3, max_size=7, unique_by=str.strip))
+    pool = draw(st.lists(_SLUGS, min_size=3, max_size=10, unique_by=str.strip))
     index = st.integers(0, len(pool) - 1)
     pairs = st.tuples(index, index).filter(lambda pair: pair[0] != pair[1])
-    arcs = draw(st.lists(st.tuples(pairs, st.integers(1, 3)), min_size=2, max_size=10))
+    arcs = draw(st.lists(st.tuples(pairs, st.integers(1, 3)), min_size=4, max_size=16))
     records = [f"{pool[i]}\t{pool[j]}\t{count}" for (i, j), count in arcs]
     if draw(st.integers(0, 3)) == 3:
         records.append(draw(st.sampled_from(_BAD_RECORDS)))
@@ -460,7 +504,7 @@ def _cli_inputs(draw):
     return command, records, sidecar, json.dumps(config)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(_cli_inputs())
 def test_any_input_gives_a_report_or_a_documented_exit(inputs):
     command, records, sidecar, config_text = inputs
@@ -468,11 +512,12 @@ def test_any_input_gives_a_report_or_a_documented_exit(inputs):
         root = Path(tmp)
         (root / "edges.tsv").write_text("".join(r + "\n" for r in records), encoding="utf-8")
         (root / "config.json").write_text(config_text, encoding="utf-8")
-        argv = [command, "--edges", str(root / "edges.tsv"), "--config", str(root / "config.json"),
-                "--out", str(root / "out.json")]
+        graph = ["--edges", str(root / "edges.tsv")]
         if sidecar is not None:
             (root / "nodes.txt").write_text("".join(n + "\n" for n in sidecar), encoding="utf-8")
-            argv += ["--nodes", str(root / "nodes.txt")]
+            graph += ["--nodes", str(root / "nodes.txt")]
+        argv = [command, *graph, "--config", str(root / "config.json"),
+                "--out", str(root / "out.json")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = run(argv)
@@ -486,7 +531,14 @@ def test_any_input_gives_a_report_or_a_documented_exit(inputs):
         if rc:
             assert not out.exists()
         elif command == "analyze":
-            read_report(out.read_text(encoding="utf-8"))
+            report = read_report(out.read_text(encoding="utf-8"))
+            graphml = root / "graph.graphml"
+            export = ["export", *graph, "--report", str(out), "--dot", str(root / "graph.dot"),
+                      "--graphml", str(graphml)]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run(export) == 0, err.getvalue()
+            nodes = ET.parse(graphml).getroot().iter(f"{{{_GRAPHML_NS}}}node")
+            assert [node.get("id") for node in nodes] == sorted(report["roles"])
 
 
 class TestWriteFailures:
@@ -562,11 +614,12 @@ def test_readme_configuration_table_matches_pipeline_config():
     section = re.search(r"## Configuration\n(.*?)\n## ", README.read_text(encoding="utf-8"), re.S)
     rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section.group(1), re.M)
     documented = [(key, json.loads(default)) for key, default in rows]
-    assert documented == [(f.name, f.default) for f in fields(PipelineConfig)]
-    # 2.0, not 2: a float field's default is written as a float
-    assert [type(default).__name__ for _, default in documented] == [
-        f.type for f in fields(PipelineConfig)
-    ]
+    assert documented == list(PipelineConfig._field_defaults.items())
+    # 2.0, not 2: a float field's default is written as a float; the
+    # annotations are postponed, so they are resolved through get_type_hints
+    assert [type(default) for _, default in documented] == list(
+        typing.get_type_hints(PipelineConfig).values()
+    )
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
@@ -576,3 +629,17 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert run(["extract", "--corpus", "demo/corpus", "--registry", "demo/registry.tsv",
                 "--out", "demo/edges.tsv", "--nodes-out", "demo/nodes.txt"]) == 0
     exec(compile(block.group(1), str(README), "exec"), {})
+
+
+def test_cli_start_loads_no_heavy_stdlib_module():
+    # a fresh interpreter, since this one has loaded what pytest needs, and
+    # without site (-S), which preloads different modules on each host
+    script = Path(__file__).resolve().parent / "check_imports.py"
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-S", str(script)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).parent == src / "lexnet"

@@ -2,8 +2,11 @@
 
 import json
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lexnet.errors import (
     EmptyInputError,
@@ -18,6 +21,8 @@ from lexnet.fixture import fixture_corpus, fixture_registry_text
 from lexnet.pipeline import analyze_graph
 from lexnet.report import (
     DuplicateRecordWarning,
+    _escape,
+    _quoteattr,
     canonical_json,
     parse_edge_list,
     read_report,
@@ -166,6 +171,31 @@ class TestWriteGraphml:
         assert write_graphml(g, roles, club, communities) == write_graphml(
             g, roles, club, communities
         )
+
+    def test_slugs_that_need_escaping_round_trip(self):
+        slugs = ["a&b", "<x>", 'say "hi"', "it's", "two words", "&<>\"' all"]
+        g = make_digraph(slugs, list(zip(slugs, slugs[1:])))
+        root = ET.fromstring(write_graphml(g, dict.fromkeys(slugs, "ordinary")))
+        ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+        nodes = root.findall(".//g:node", ns)
+        assert [node.get("id") for node in nodes] == sorted(slugs)
+        display = [node.find("g:data[@key='d_display']", ns).text for node in nodes]
+        assert display == sorted(slugs)
+        arcs = [(e.get("source"), e.get("target")) for e in root.findall(".//g:edge", ns)]
+        assert arcs == sorted(zip(slugs, slugs[1:]))
+
+
+# every character the escapes treat specially, plus accents and plain letters
+_XML_TEXT = st.text(alphabet="&<>\"'\n\r\téÉçœab Z")
+
+
+@given(_XML_TEXT)
+@example("plain")  # double-quoted
+@example('a "quote"')  # single-quoted
+@example("""both ' and " """)  # double-quoted with &quot;
+def test_xml_escapes_match_saxutils(text):
+    assert _escape(text) == escape(text)
+    assert _quoteattr(text) == quoteattr(text)
 
 
 class TestCanonicalJson:
