@@ -133,14 +133,13 @@ def cnm_trace(ug: UGraph) -> CnmTrace:
         label[v] = v
         nbr[v] = {}
         q -= (d / two_m) ** 2
-    for u, v in ug.edges():
-        nbr[u][v] = 1
-        nbr[v][u] = 1
 
     # heap entries: (-dq, label_a, label_b, a, b, e_ab, deg_a, deg_b) with
     # label_a < label_b at push time
     heap: list[tuple] = []
     for u, v in ug.edges():
+        nbr[u][v] = 1
+        nbr[v][u] = 1
         du = comm_deg[u]
         dv = comm_deg[v]
         dq = inv_m - du * dv * inv_2m2

@@ -8,7 +8,7 @@ independent of evaluation order.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .config import PipelineConfig
 from .errors import (
@@ -198,7 +198,8 @@ class NullModelStats(NamedTuple):
     path_length_stddev: float
 
 
-def _stats_over(model: str, params: dict, graphs: Sequence[UGraph], seed: int) -> NullModelStats:
+def _stats_over(model: str, params: dict, graphs: Iterable[UGraph], seed: int) -> NullModelStats:
+    """Statistics over the samples, read one at a time so only one is held."""
     densities = []
     clusterings = []
     paths = []
@@ -211,7 +212,7 @@ def _stats_over(model: str, params: dict, graphs: Sequence[UGraph], seed: int) -
     p_mean, p_std = mean_std(paths)
     return NullModelStats(
         model=model,
-        samples=len(graphs),
+        samples=len(densities),
         seed=seed,
         params=params,
         density_mean=sum(densities) / len(densities),
@@ -223,12 +224,12 @@ def _stats_over(model: str, params: dict, graphs: Sequence[UGraph], seed: int) -
 
 
 def er_baseline(n: int, m: int, samples: int, seed: int) -> NullModelStats:
-    graphs = [erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}")) for i in range(samples)]
+    graphs = (erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}")) for i in range(samples))
     return _stats_over("er_gnm", {"n": n, "m": m}, graphs, seed)
 
 
 def ws_baseline(n: int, k_even: int, p: float, samples: int, seed: int) -> NullModelStats:
-    graphs = [watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}")) for i in range(samples)]
+    graphs = (watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}")) for i in range(samples))
     return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, graphs, seed)
 
 

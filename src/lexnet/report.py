@@ -93,32 +93,21 @@ def write_node_sidecar(slugs: Collection[str]) -> str:
 # -- DOT and GraphML ------------------------------------------------------------------
 
 
-def _club_shapes(g: DiGraph, rich_club: Mapping[str, Any] | None) -> dict[str, str]:
-    citing = set(rich_club.get("top_citing", ())) if rich_club else set()
-    cited = set(rich_club.get("top_cited", ())) if rich_club else set()
-    for slug in citing | cited:
-        if not g.has_slug(slug):
-            raise InconsistentInputsError(f"rich-club slug {slug!r} not in graph")
-    shapes = {}
-    for v in g.node_ids():
-        slug = g.slug(v)
-        if slug in citing and slug in cited:
-            shapes[slug] = "hexagon"
-        elif slug in citing:
-            shapes[slug] = "square"
-        elif slug in cited:
-            shapes[slug] = "circle"
-        else:
-            shapes[slug] = "diamond"
-    return shapes
-
-
-def _check_annotations(
+def _export_table(
     g: DiGraph,
     roles: Mapping[str, str],
+    rich_club: Mapping[str, Any] | None,
     communities: Mapping[str, int] | None,
-) -> None:
-    graph_slugs = {g.slug(v) for v in g.node_ids()}
+) -> tuple[list[tuple[str, int, bool, bool]], list[tuple[str, str, int]]]:
+    """Check the annotations and list the rows both export formats draw, in slug order.
+
+    Node rows are ``(slug, node id, in top_citing, in top_cited)``; arc
+    rows are ``(citing slug, cited slug, count)``. The roles must name
+    exactly the graph's slugs, and every community key and rich-club slug
+    must be a graph slug, or InconsistentInputsError is raised.
+    """
+    slugs = g.slugs
+    graph_slugs = set(slugs)
     missing = graph_slugs - set(roles)
     if missing:
         raise InconsistentInputsError(f"roles missing for {sorted(missing)[:3]}...")
@@ -129,11 +118,24 @@ def _check_annotations(
         unknown = set(communities) - graph_slugs
         if unknown:
             raise InconsistentInputsError(f"communities for unknown slugs {sorted(unknown)[:3]}...")
+    citing = set(rich_club.get("top_citing", ())) if rich_club else set()
+    cited = set(rich_club.get("top_cited", ())) if rich_club else set()
+    unknown = (citing | cited) - graph_slugs
+    if unknown:
+        raise InconsistentInputsError(f"rich-club slug {min(unknown)!r} not in graph")
+    nodes = sorted((slug, v, slug in citing, slug in cited) for v, slug in enumerate(slugs))
+    arcs = sorted((slugs[s], slugs[t], w) for s, t, w in g.arcs())
+    return nodes, arcs
 
 
 def _dot_id(slug: str) -> str:
     """A slug as a double-quoted DOT id, with backslashes and quotes escaped."""
     return '"' + slug.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# DOT shape by (in top_citing, in top_cited)
+_DOT_SHAPES = {(True, True): "hexagon", (True, False): "square",
+               (False, True): "circle", (False, False): "diamond"}
 
 
 def write_dot(
@@ -147,20 +149,17 @@ def write_dot(
     Shapes encode rich-club membership (the ``top_citing`` and
     ``top_cited`` lists of a report's rich_club section): square for
     top-citing only, circle for top-cited only, hexagon for both, diamond
-    otherwise. Community
-    indices are emitted as a ``cluster`` attribute; no layout hints are
-    produced. Output is byte-stable for identical inputs.
+    otherwise. Community indices are emitted as a ``cluster`` attribute;
+    no layout hints are produced. Output is byte-stable for identical inputs.
     """
-    _check_annotations(g, roles, communities)
-    shapes = _club_shapes(g, rich_club)
+    nodes, arcs = _export_table(g, roles, rich_club, communities)
     lines = ["digraph citations {"]
-    for slug in sorted(g.slug(v) for v in g.node_ids()):
-        attrs = [f"shape={shapes[slug]}", f'role="{roles[slug]}"']
+    for slug, _, top_citing, top_cited in nodes:
+        attrs = [f"shape={_DOT_SHAPES[top_citing, top_cited]}", f"role={_dot_id(roles[slug])}"]
         if communities is not None and slug in communities:
             attrs.append(f"cluster={communities[slug]}")
         lines.append(f'  {_dot_id(slug)} [{", ".join(attrs)}];')
-    rows = sorted((g.slug(s), g.slug(t), w) for s, t, w in g.arcs())
-    for citing, cited, count in rows:
+    for citing, cited, count in arcs:
         lines.append(f"  {_dot_id(citing)} -> {_dot_id(cited)} [weight={count}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -187,6 +186,7 @@ def _quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
+# (id, attr.name, attr.type) of each node key, in the order of a node's <data> lines
 _GRAPHML_NODE_KEYS = (
     ("d_display", "display_name", "string"),
     ("d_role", "role", "string"),
@@ -195,6 +195,7 @@ _GRAPHML_NODE_KEYS = (
     ("d_comm", "community", "int"),
     ("d_club", "rich_club", "boolean"),
 )
+_GRAPHML_EDGE_KEY = ("e_count", "count", "int")
 
 
 def write_graphml(
@@ -204,41 +205,36 @@ def write_graphml(
     communities: Mapping[str, int] | None = None,
 ) -> str:
     """GraphML 1.0 document with role/degree/community node annotations."""
-    _check_annotations(g, roles, communities)
-    members: set[str] = set()
-    if rich_club:
-        members = set(rich_club.get("top_citing", ())) | set(rich_club.get("top_cited", ()))
-        for slug in members:
-            if not g.has_slug(slug):
-                raise InconsistentInputsError(f"rich-club slug {slug!r} not in graph")
+    nodes, arcs = _export_table(g, roles, rich_club, communities)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
     ]
-    for key_id, name, key_type in _GRAPHML_NODE_KEYS:
+    keys = [("node", key) for key in _GRAPHML_NODE_KEYS] + [("edge", _GRAPHML_EDGE_KEY)]
+    for domain, (key_id, name, key_type) in keys:
         lines.append(
-            f'  <key id="{key_id}" for="node" attr.name="{name}" attr.type="{key_type}"/>'
+            f'  <key id="{key_id}" for="{domain}" attr.name="{name}" attr.type="{key_type}"/>'
         )
-    lines.append('  <key id="e_count" for="edge" attr.name="count" attr.type="int"/>')
     lines.append('  <graph id="citations" edgedefault="directed">')
-    by_slug = {g.slug(v): v for v in g.node_ids()}
-    for slug in sorted(by_slug):
-        v = by_slug[slug]
+    for slug, v, top_citing, top_cited in nodes:
+        values = (
+            _escape(slug),  # the display name is the slug
+            _escape(roles[slug]),
+            g.in_degree(v),
+            g.out_degree(v),
+            communities.get(slug) if communities else None,  # None: no community line
+            "true" if top_citing or top_cited else "false",
+        )
         lines.append(f"    <node id={_quoteattr(slug)}>")
-        # the display name is the slug
-        lines.append(f"      <data key=\"d_display\">{_escape(slug)}</data>")
-        lines.append(f"      <data key=\"d_role\">{_escape(roles[slug])}</data>")
-        lines.append(f"      <data key=\"d_in\">{g.in_degree(v)}</data>")
-        lines.append(f"      <data key=\"d_out\">{g.out_degree(v)}</data>")
-        if communities is not None and slug in communities:
-            lines.append(f"      <data key=\"d_comm\">{communities[slug]}</data>")
-        lines.append(f"      <data key=\"d_club\">{'true' if slug in members else 'false'}</data>")
+        for (key_id, _, _), value in zip(_GRAPHML_NODE_KEYS, values, strict=True):
+            if value is not None:
+                lines.append(f'      <data key="{key_id}">{value}</data>')
         lines.append("    </node>")
-    rows = sorted((g.slug(s), g.slug(t), w) for s, t, w in g.arcs())
-    for citing, cited, count in rows:
+    count_key = _GRAPHML_EDGE_KEY[0]
+    for citing, cited, count in arcs:
         lines.append(
             f"    <edge source={_quoteattr(citing)} target={_quoteattr(cited)}>"
-            f'<data key="e_count">{count}</data></edge>'
+            f'<data key="{count_key}">{count}</data></edge>'
         )
     lines.append("  </graph>")
     lines.append("</graphml>")

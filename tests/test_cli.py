@@ -470,9 +470,10 @@ class TestExitCodes:
 # Edge lists, sidecars and configs for the fuzz test below. Slugs mix the
 # characters that need escaping in DOT or XML, or stripping, or that start
 # a comment; at most one record and one config value are broken, so most
-# runs get far enough to analyze. Small graphs mostly exit 4 (the rich
-# club leaves no edge), so pools reach 10 slugs and 4-16 arcs to let some
-# analyze runs succeed and reach the export check.
+# runs get far enough to analyze. Pools of 3-5 slugs mostly exit 4 (the
+# rich club leaves no edge), so they are drawn about once in four; the rest
+# have 6-12 slugs and 8-20 arcs, so that many analyze runs succeed and
+# reach the export check.
 _SLUGS = st.tuples(st.sampled_from("abcé"), st.text(alphabet='ab"\\ é#&<>\'', max_size=3)).map("".join)
 _BAD_RECORDS = ["a\ta\t1", "a\tb\t0", "a\tb\tx", " \tb\t1", "#a\tb\t1", "lonely"]
 _BAD_VALUES = [True, False, float("nan"), float("inf"), -1, 0, "2", None]
@@ -482,10 +483,13 @@ _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
 @st.composite
 def _cli_inputs(draw):
-    pool = draw(st.lists(_SLUGS, min_size=3, max_size=10, unique_by=str.strip))
+    small = draw(st.integers(0, 3)) == 3
+    pool = draw(st.lists(_SLUGS, min_size=3 if small else 6, max_size=5 if small else 12,
+                         unique_by=str.strip))
     index = st.integers(0, len(pool) - 1)
     pairs = st.tuples(index, index).filter(lambda pair: pair[0] != pair[1])
-    arcs = draw(st.lists(st.tuples(pairs, st.integers(1, 3)), min_size=4, max_size=16))
+    arcs = draw(st.lists(st.tuples(pairs, st.integers(1, 3)), min_size=4 if small else 8,
+                         max_size=20))
     records = [f"{pool[i]}\t{pool[j]}\t{count}" for (i, j), count in arcs]
     if draw(st.integers(0, 3)) == 3:
         records.append(draw(st.sampled_from(_BAD_RECORDS)))

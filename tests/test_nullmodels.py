@@ -1,6 +1,7 @@
 """Random-graph generators, degree-preserving rewiring, assessment rule."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,8 +18,10 @@ from lexnet.graph import digraph_from_ugraph
 from lexnet.metrics import global_clustering, rich_club_members
 from lexnet.nullmodels import (
     degree_preserving_rewire,
+    er_baseline,
     erdos_renyi_gnm,
     watts_strogatz,
+    ws_baseline,
 )
 
 from conftest import (
@@ -247,6 +250,25 @@ class TestAgainstReferences:
         with pytest.raises(error) as got:
             library[model](*args)
         assert str(got.value) == str(want.value)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBaselines:
+    @pytest.mark.parametrize(
+        ("baseline", "args"), [(er_baseline, (200, 800)), (ws_baseline, (200, 8, 0.1))]
+    )
+    def test_samples_are_held_one_at_a_time(self, baseline, args):
+        _, one = _traced_peak(baseline, *args, 1, 5)
+        stats, forty = _traced_peak(baseline, *args, 40, 5)
+        assert stats.samples == 40
+        assert forty < 2 * one
 
 
 class TestAssessment:

@@ -18,6 +18,7 @@ from lexnet.errors import (
 from lexnet.config import PipelineConfig
 from lexnet.extraction import CodeDocument, build_edge_list, load_registry
 from lexnet.fixture import fixture_corpus, fixture_registry_text
+from lexnet.metrics import Role
 from lexnet.pipeline import analyze_graph
 from lexnet.report import (
     DuplicateRecordWarning,
@@ -117,15 +118,35 @@ class TestWriteDot:
         g, roles, club, communities = annotated_graph
         assert write_dot(g, roles, club, communities) == write_dot(g, roles, club, communities)
 
-    def test_inconsistent_roles(self, annotated_graph):
-        g, _, club, communities = annotated_graph
-        with pytest.raises(InconsistentInputsError):
-            write_dot(g, {"hub": "ordinary"}, club, communities)
+    def test_role_is_quoted_as_a_dot_id(self):
+        g = make_digraph(["a", "b"], [("a", "b")])
+        lines = write_dot(g, {"a": 'x"y', "b": Role.ORDINARY}).splitlines()
+        assert lines[1] == '  "a" [shape=diamond, role="x\\"y"];'
+        assert lines[2] == '  "b" [shape=diamond, role="ordinary"];'
 
-    def test_unknown_club_slug(self, annotated_graph):
+    # the checks run once for both formats; each is tested through each writer
+
+    @pytest.mark.parametrize("write", [write_dot, write_graphml])
+    def test_inconsistent_roles(self, write, annotated_graph):
+        g, roles, club, communities = annotated_graph
+        with pytest.raises(InconsistentInputsError, match=r"roles missing for \['alpha', 'beta'"):
+            write(g, {"hub": "ordinary"}, club, communities)
+        with pytest.raises(InconsistentInputsError, match=r"roles for unknown slugs \['nope'\]"):
+            write(g, {**roles, "nope": "ordinary"}, club, communities)
+
+    @pytest.mark.parametrize("write", [write_dot, write_graphml])
+    def test_unknown_club_slug(self, write, annotated_graph):
         g, roles, _, _ = annotated_graph
-        with pytest.raises(InconsistentInputsError):
-            write_dot(g, roles, {"top_citing": ["nope"], "top_cited": []}, None)
+        for club in ({"top_citing": ["nope"], "top_cited": []}, {"top_cited": ["hub", "nope"]}):
+            with pytest.raises(InconsistentInputsError, match="rich-club slug 'nope' not in graph"):
+                write(g, roles, club, None)
+
+    @pytest.mark.parametrize("write", [write_dot, write_graphml])
+    def test_unknown_community_slug(self, write, annotated_graph):
+        g, roles, club, communities = annotated_graph
+        with pytest.raises(InconsistentInputsError,
+                           match=r"communities for unknown slugs \['nope'\]"):
+            write(g, roles, club, {**communities, "nope": 2})
 
 
 class TestWriteGraphml:
