@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 2 usage or configuration error, 3 malformed input
 data or an unreadable input or unwritable output, 4 graph too degenerate
-to analyze. Diagnostics go to stderr; machine-readable output goes to
+to analyze; each LexnetError carries its code as ``exit_code``.
+Diagnostics go to stderr; machine-readable output goes to
 --out files (written atomically) or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import warnings
@@ -17,14 +17,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import PipelineConfig, load_config
-from .errors import (
-    ConfigError,
-    DegenerateGraphError,
-    EmptyGraphError,
-    InvalidEncodingError,
-    LexnetError,
-)
+from .errors import ConfigError, DegenerateGraphError, InvalidEncodingError, LexnetError
 from .extraction import CodeDocument, build_edge_list, load_registry
+from .files import write_text_atomic
 from .fixture import write_fixture
 from .graph import DiGraph
 from .pipeline import REPORT_SECTIONS, analyze_graph, build_sections
@@ -72,20 +67,11 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Write to stdout, or atomically to path: a temp file beside it is renamed over it."""
+    """Write to stdout, or atomically to path."""
     if path is None:
         sys.stdout.write(text)
-        return
-    target = Path(path)
-    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        temp.write_text(text, encoding="utf-8")
-        os.replace(temp, target)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            temp.unlink()
-        # the OSError names the temp file; report the requested path instead
-        raise LexnetError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    else:
+        write_text_atomic(path, text)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -229,6 +215,9 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
+# The diagnostic prefix for each exit code an error class carries.
+_PREFIXES = {2: "configuration error: ", 3: "", 4: "degenerate graph: "}
+
 _COMMANDS = {
     "extract": _cmd_extract,
     **dict.fromkeys(_COMMAND_SECTIONS, _cmd_report),
@@ -245,15 +234,9 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"lexnet: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateGraphError, EmptyGraphError) as exc:
-        print(f"lexnet: degenerate graph: {exc}", file=sys.stderr)
-        return 4
     except LexnetError as exc:
-        print(f"lexnet: {exc}", file=sys.stderr)
-        return 3
+        print(f"lexnet: {_PREFIXES[exc.exit_code]}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def main() -> None:

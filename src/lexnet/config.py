@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from typing import Any, Mapping, NamedTuple
@@ -55,6 +54,8 @@ class PipelineConfig(NamedTuple):
             raise ConfigError(f"ws_p must be in [0, 1], got {self.ws_p!r}")
 
     def digest(self) -> str:
+        import hashlib  # on first use: only analysis commands hash the config
+
         payload = json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

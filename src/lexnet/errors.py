@@ -2,7 +2,13 @@
 
 
 class LexnetError(Exception):
-    """Base class for every error raised by lexnet."""
+    """Base class for every error raised by lexnet.
+
+    The CLI exits with ``exit_code``: 3 (bad input data, an unreadable input
+    or an unwritable output), 2 (configuration) or 4 (degenerate graph).
+    """
+
+    exit_code = 3
 
 
 # -- graph construction and lookup -------------------------------------------
@@ -26,6 +32,8 @@ class UnknownNodeError(LexnetError):
 class DegenerateGraphError(LexnetError):
     """The graph is too small for the requested statistic."""
 
+    exit_code = 4
+
 
 # -- metrics ------------------------------------------------------------------
 
@@ -45,6 +53,8 @@ class NullModelDegenerateError(LexnetError):
 
 class EmptyGraphError(LexnetError):
     """Modularity is undefined on a graph without edges."""
+
+    exit_code = 4
 
 
 class PartialAssignmentError(LexnetError):
@@ -133,3 +143,5 @@ class InconsistentInputsError(LexnetError):
 
 class ConfigError(LexnetError):
     """A pipeline configuration value is invalid or unparsable."""
+
+    exit_code = 2

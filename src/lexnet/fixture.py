@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .files import write_text_atomic
+
 HEXAGON = "sante_publique"
 SQUARES = ("collectivites_territoriales", "environnement", "securite_sociale", "rural")
 CIRCLES = ("penal", "civil", "procedure_penale", "travail", "commerce")
@@ -336,12 +338,12 @@ Layout:
 
 
 def write_fixture(directory: str | Path) -> Path:
-    """Write registry.tsv, corpus/<slug>.txt and a README under directory."""
+    """Write registry.tsv, corpus/<slug>.txt and a README under directory, each atomically."""
     root = Path(directory)
     corpus_dir = root / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    (root / "registry.tsv").write_text(fixture_registry_text(), encoding="utf-8")
-    (root / "README.md").write_text(_FIXTURE_README, encoding="utf-8")
+    write_text_atomic(root / "registry.tsv", fixture_registry_text())
+    write_text_atomic(root / "README.md", _FIXTURE_README)
     for slug, text in fixture_corpus().items():
-        (corpus_dir / f"{slug}.txt").write_text(text, encoding="utf-8")
+        write_text_atomic(corpus_dir / f"{slug}.txt", text)
     return root

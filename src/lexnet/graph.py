@@ -115,9 +115,6 @@ class DiGraph:
         except KeyError:
             raise UnknownNodeError(f"no node with slug {slug!r}") from None
 
-    def has_slug(self, slug: str) -> bool:
-        return slug in self._slug_to_id
-
     def _check(self, v: NodeId) -> None:
         if not isinstance(v, int) or v < 0 or v >= len(self._slugs):
             raise UnknownNodeError(f"node id {v!r} outside 0..{len(self._slugs) - 1}")
@@ -294,24 +291,6 @@ class UGraph:
             for v in sorted(self._adj[u]):
                 if v > u:
                     yield u, v
-
-    def connected_components(self) -> list[set[int]]:
-        """Node sets of the components, ordered by their smallest node."""
-        adj = self._adj
-        seen = [False] * len(adj)
-        components: list[set[int]] = []
-        for start in range(len(adj)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            members = [start]
-            for v in members:  # the loop also visits the nodes appended below
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        members.append(w)
-            components.append(set(members))
-        return components
 
 
 def digraph_from_ugraph(ug: UGraph) -> DiGraph:

@@ -279,19 +279,19 @@ def average_path_length(ug: UGraph) -> PathSummary:
     n = ug.node_count
     if n < 2:
         raise DegenerateGraphError("average path length needs at least 2 nodes")
-    components = ug.connected_components()
-    largest = max(components, key=lambda c: (len(c), -min(c)))
-    reachable_pairs = sum(len(c) * (len(c) - 1) // 2 for c in components)
-    fraction = reachable_pairs / (n * (n - 1) // 2)
-    if len(largest) < 2:
+    # a node's reach mask is its component, so one sweep also finds those
+    counts, reach = distance_counts([list(nbrs) for nbrs in ug._adj])  # read only
+    sizes = [mask.bit_count() for mask in reach]
+    # each component of size s adds s - 1 to s nodes: twice its s(s-1)/2 pairs
+    fraction = (sum(sizes) - n) // 2 / (n * (n - 1) // 2)
+    size = max(sizes)
+    if size < 2:
         return PathSummary(0.0, fraction)
-    # sweep the largest component alone, so its masks are |largest| bits wide
-    nodes = sorted(largest)
-    local = {v: i for i, v in enumerate(nodes)}
-    adj = ug.adjacency()
-    counts, _ = distance_counts([[local[w] for w in adj[v]] for v in nodes])
-    total = sum(d * c for row in counts for d, c in enumerate(row, 1))
-    pairs = len(largest) * (len(largest) - 1) // 2
+    # the first node of the largest size is its component's smallest member
+    largest = reach[sizes.index(size)]
+    rows = (row for row, mask in zip(counts, reach) if mask == largest)
+    total = sum(d * c for row in rows for d, c in enumerate(row, 1))
+    pairs = size * (size - 1) // 2
     return PathSummary(total / 2 / pairs, fraction)
 
 

@@ -22,6 +22,7 @@ import lexnet.nullmodels
 import lexnet.pipeline
 from lexnet.cli import main, run
 from lexnet.config import PipelineConfig
+from lexnet.errors import LexnetError
 from lexnet.graph import DiGraph
 from lexnet.report import read_report
 
@@ -591,6 +592,17 @@ class TestWriteFailures:
         self._assert_one_line_exit_3(rc, capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
+    def test_fixture_file_that_cannot_replace_its_target(self, tmp_path, capsys):
+        # a directory stands where registry.tsv goes, so its rename fails
+        registry = tmp_path / "fx" / "registry.tsv"
+        registry.mkdir(parents=True)
+        rc = run(["fixture", "--out-dir", str(tmp_path / "fx")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"lexnet: cannot write {registry}: ")
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in (tmp_path / "fx").rglob("*.tmp")] == []
+
     def test_written_file_replaces_old_contents(self, extracted, tmp_path):
         edges, nodes = extracted
         out = tmp_path / "report.json"
@@ -598,6 +610,45 @@ class TestWriteFailures:
         assert _analyze(extracted, out) == 0
         assert json.loads(out.read_text(encoding="utf-8"))["schema_version"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+# The exit code each error class carries, and so the code run() returns.
+_EXIT_CODES = {
+    "LexnetError": 3,
+    "EmptyNodeSetError": 3,
+    "DuplicateLabelError": 3,
+    "SelfLoopError": 3,
+    "UnknownNodeError": 3,
+    "DegenerateGraphError": 4,
+    "BadKError": 3,
+    "UndefinedCoefficientError": 3,
+    "NullModelDegenerateError": 3,
+    "EmptyGraphError": 4,
+    "PartialAssignmentError": 3,
+    "TooLargeError": 3,
+    "TooManyEdgesError": 3,
+    "BadLatticeDegreeError": 3,
+    "TooFewEdgesError": 3,
+    "InvalidEncodingError": 3,
+    "MalformedRegistryError": 3,
+    "AmbiguousAliasError": 3,
+    "DuplicateSlugError": 3,
+    "UnknownDocumentSlugError": 3,
+    "DuplicateDocumentError": 3,
+    "MalformedLineError": 3,
+    "SelfLoopLineError": 3,
+    "EmptyInputError": 3,
+    "SchemaViolationError": 3,
+    "InconsistentInputsError": 3,
+    "ConfigError": 2,
+}
+
+
+def test_every_error_class_has_its_exit_code():
+    classes = [LexnetError]
+    for cls in classes:  # the loop also visits the subclasses appended below
+        classes.extend(cls.__subclasses__())
+    assert {cls.__name__: cls.exit_code for cls in classes} == _EXIT_CODES
 
 
 def test_every_public_name_resolves():

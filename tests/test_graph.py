@@ -195,51 +195,58 @@ class TestProjection:
             )
 
 
+def _components(ug):
+    """Node sets of the distinct reach masks of one sweep.
+
+    Nodes are grouped by their mask, and each mask must hold exactly the
+    nodes that carry it.
+    """
+    _, reach = distance_counts(ug.adjacency())
+    holders: dict[int, list[int]] = {}
+    for v, mask in enumerate(reach):
+        holders.setdefault(mask, []).append(v)
+    assert all(mask == sum(1 << v for v in nodes) for mask, nodes in holders.items())
+    return {frozenset(nodes) for nodes in holders.values()}
+
+
 class TestComponents:
-    """Weak components of a digraph are components of its projection."""
+    """Weak components of a digraph, read from the reach masks of its projection."""
 
     def test_two_triangles(self):
         g = make_digraph("abcdef", [("a", "b"), ("b", "c"), ("c", "a"),
                                     ("d", "e"), ("e", "f"), ("f", "d")])
-        comps = g.undirected_projection().connected_components()
+        comps = _components(g.undirected_projection())
         assert sorted(len(c) for c in comps) == [3, 3]
 
     def test_isolated_vertex_is_singleton(self):
         g = make_digraph("abc", [("a", "b")])
-        comps = g.undirected_projection().connected_components()
-        assert {frozenset(c) for c in comps} == {
+        assert _components(g.undirected_projection()) == {
             frozenset({0, 1}),
             frozenset({2}),
         }
 
     def test_connected_graph_single_component(self, bridge_digraph):
-        assert len(bridge_digraph.undirected_projection().connected_components()) == 1
+        assert len(_components(bridge_digraph.undirected_projection())) == 1
 
     def test_components_partition_nodes(self):
         rng = random.Random(3)
         for _ in range(20):
             g = random_digraph(rng, 9, rng.randint(1, 10))
-            comps = g.undirected_projection().connected_components()
+            comps = _components(g.undirected_projection())
             seen = [v for c in comps for v in c]
             assert sorted(seen) == list(range(9))
-
-    def test_ordered_by_smallest_node(self):
-        ug = make_ugraph("abcdef", [("a", "e"), ("b", "f"), ("c", "d")])
-        assert ug.connected_components() == [{0, 4}, {1, 5}, {2, 3}]
 
     def test_matches_union_find(self):
         rng = random.Random(29)
         graphs = [random_ugraph(rng, n, m) for n, m in ((12, 5), (30, 20), (60, 70), (200, 150))]
         graphs.append(erdos_renyi_gnm(20_000, 6_000, seed=29))
         for ug in graphs:
-            comps = ug.connected_components()
-            assert {frozenset(c) for c in comps} == union_find_components(ug)
-            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+            assert _components(ug) == union_find_components(ug)
 
     @given(ugraphs())
     @settings(max_examples=200, derandomize=True)
     def test_matches_union_find_property(self, ug):
-        assert {frozenset(c) for c in ug.connected_components()} == union_find_components(ug)
+        assert _components(ug) == union_find_components(ug)
 
 
 def _histograms(ug):
