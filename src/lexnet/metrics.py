@@ -307,7 +307,7 @@ def betweenness_scores(ug: UGraph) -> list[float]:
     of w is any neighbor one step nearer the source, so none are stored.
     """
     n = ug.node_count
-    adj = [sorted(nbrs) for nbrs in ug.adjacency()]
+    adj = [sorted(nbrs) for nbrs in ug._adj]  # read only
     raw = [0.0] * n
     for s in range(n):
         sigma = [0.0] * n
@@ -346,7 +346,7 @@ def harmonic_closeness_scores(ug: UGraph) -> list[float]:
     n = ug.node_count
     if n < 2:
         return [0.0] * n
-    counts, _ = distance_counts(ug.adjacency())
+    counts, _ = distance_counts([list(nbrs) for nbrs in ug._adj])  # read only
     scores = []
     for row in counts:
         # 1/d once per node at distance d, nearest first: the same float
@@ -376,7 +376,7 @@ def phi_table(ug: UGraph) -> dict[int, float | None]:
     histograms give every n_k and e_k; the values equal
     :func:`rich_club_coefficient` exactly.
     """
-    adj = ug.adjacency()
+    adj = ug._adj  # read only
     degree = [len(nbrs) for nbrs in adj]
     max_deg = max(degree, default=0)
     nodes_at = [0] * (max_deg + 1)

@@ -21,8 +21,6 @@ from .errors import (
     SelfLoopLineError,
 )
 from .graph import DiGraph
-from .metrics import Role
-from .nullmodels import NullModelStats
 
 SCHEMA_VERSION = 1
 
@@ -302,7 +300,10 @@ SECTION_TYPES = {
 
 _GRAPH_SUMMARY_KEYS = ("n", "arcs", "undirected_edges", "density")
 _ROLE_KEYS = ("in_degree", "out_degree", "total_degree", "role")
-_ROLES = tuple(role.value for role in Role)
+# The values of metrics.Role, and below the fields of
+# nullmodels.NullModelStats, written out so that reading and writing
+# reports loads neither module; tests/test_report.py pins both.
+_ROLES = ("isolated", "pendant", "source_only", "sink_only", "ordinary")
 _CLUB_KEYS = ("members", "top_citing", "top_cited", "internal_density", "quotation_capture")
 _ASSESSMENT_KEYS = (
     "observed",
@@ -312,7 +313,10 @@ _ASSESSMENT_KEYS = (
     "verdict",
 )
 _CENTRALITY_KINDS = ("degree", "betweenness", "closeness")
-_BASELINE_KEYS = NullModelStats._fields
+_BASELINE_KEYS = (
+    "model", "samples", "seed", "params", "density_mean", "clustering_mean",
+    "clustering_stddev", "path_length_mean", "path_length_stddev",
+)
 
 
 def validate_report_payload(payload: Any) -> None:

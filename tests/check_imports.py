@@ -1,13 +1,15 @@
-"""Check that starting the lexnet CLI loads no heavy standard-library module.
+"""Check that starting the lexnet CLI loads only what building its parser needs.
 
     python tests/check_imports.py
 
-Imports ``lexnet.cli`` and builds its parser with ``run([])``, then lists
-the modules this added that belong to a forbidden package. It checks the
-lexnet the interpreter finds: the checkout with ``PYTHONPATH=src``, an
-installed package without it. Only modules added by the import count,
-since what ``site`` loads differs between hosts. Prints where lexnet was
-found and exits 0, or lists the offending modules and exits 1.
+Imports ``lexnet.cli`` and builds its parser with ``run([])``, then checks
+the modules this added: none may belong to a forbidden standard-library
+package, and the lexnet modules must be exactly ``START_MODULES``. It
+checks the lexnet the interpreter finds: the checkout with
+``PYTHONPATH=src``, an installed package without it. Only modules added
+by the import count, since what ``site`` loads differs between hosts.
+Prints where lexnet was found and exits 0, or names the offending
+modules and exits 1.
 """
 
 import io
@@ -25,12 +27,23 @@ FORBIDDEN = (
     "hashlib",
 )
 
+# The lexnet modules start-up loads. Every other one (graph, report,
+# config, seeding and the analysis modules) is imported by the command
+# that runs it. extraction and fixture load at start-up because the
+# benchmark's tracer (perfbench/tracing.py) looks up each traced module
+# in sys.modules, also on workloads that never run extract or fixture.
+START_MODULES = (
+    "lexnet", "lexnet.cli", "lexnet.errors", "lexnet.extraction", "lexnet.files",
+    "lexnet.fixture",
+)
+
 
 def _forbidden(name: str) -> bool:
     return any(name == root or name.startswith(root + ".") for root in FORBIDDEN)
 
 
-def added_forbidden_modules() -> list[str]:
+def added_modules() -> set[str]:
+    """The modules that importing lexnet.cli and building its parser add."""
     before = set(sys.modules)
     import lexnet.cli
 
@@ -39,12 +52,19 @@ def added_forbidden_modules() -> list[str]:
         lexnet.cli.run([])
     finally:
         sys.stderr = stderr
-    added = set(sys.modules) - before
-    return sorted(name for name in added if _forbidden(name))
+    return set(sys.modules) - before
 
 
 if __name__ == "__main__":
-    offending = added_forbidden_modules()
-    if offending:
-        sys.exit(f"importing lexnet.cli loaded {offending}")
+    added = added_modules()
+    found = []
+    forbidden = sorted(name for name in added if _forbidden(name))
+    if forbidden:
+        found.append(f"importing lexnet.cli loaded {forbidden}")
+    lexnet_modules = sorted(name for name in added if name.split(".")[0] == "lexnet")
+    if lexnet_modules != sorted(START_MODULES):
+        found.append(f"importing lexnet.cli loaded the lexnet modules {lexnet_modules}, "
+                     f"not {list(START_MODULES)}")
+    if found:
+        sys.exit("\n".join(found))
     print(sys.modules["lexnet"].__file__)

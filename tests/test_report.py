@@ -19,8 +19,11 @@ from lexnet.config import PipelineConfig
 from lexnet.extraction import CodeDocument, build_edge_list, load_registry
 from lexnet.fixture import fixture_corpus, fixture_registry_text
 from lexnet.metrics import Role
+from lexnet.nullmodels import NullModelStats
 from lexnet.pipeline import analyze_graph
 from lexnet.report import (
+    _BASELINE_KEYS,
+    _ROLES,
     DuplicateRecordWarning,
     _escape,
     _quoteattr,
@@ -240,6 +243,12 @@ class TestCanonicalJson:
 def report(fixture_graph):
     config = PipelineConfig(null_samples=5)
     return analyze_graph(fixture_graph, config, inputs=["edges.tsv"], run_id="t")
+
+
+def test_schema_literals_match_their_sources():
+    # report.py writes these out so that it imports neither metrics nor nullmodels
+    assert _ROLES == tuple(role.value for role in Role)
+    assert _BASELINE_KEYS == NullModelStats._fields
 
 
 class TestReportRoundTrip:
