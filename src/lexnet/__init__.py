@@ -9,9 +9,9 @@ small-world and random baselines.
 
 __version__ = "0.1.0"
 
-# Each public name and the submodule that defines it. A name is imported
-# on first use (PEP 562), so ``import lexnet`` loads no submodule and the
-# CLI compiles only what a command runs.
+# Each public name and the submodule that defines it; ``__all__`` is built
+# from it. A name is imported on first use (PEP 562), so ``import lexnet``
+# loads no submodule and the CLI compiles only what a command runs.
 _SOURCES = {
     **dict.fromkeys(
         ("CommunityReport", "Partition", "brute_force_best_partition", "cnm_communities",
@@ -23,12 +23,11 @@ _SOURCES = {
          "find_citations", "load_registry", "normalize_text"),
         "extraction",
     ),
-    **dict.fromkeys(("DiGraph", "UGraph", "digraph_from_ugraph"), "graph"),
+    **dict.fromkeys(("DiGraph", "UGraph"), "graph"),
     **dict.fromkeys(
         ("RichClub", "Role", "average_path_length", "betweenness_scores", "degree_centrality",
          "degree_profile", "density", "global_clustering", "harmonic_closeness_scores",
-         "normalized_rich_club", "rich_club_coefficient", "rich_club_members", "top_cited",
-         "top_citing"),
+         "normalized_rich_club", "rich_club_members", "top_cited", "top_citing"),
         "metrics",
     ),
     **dict.fromkeys(
@@ -59,49 +58,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_SOURCES})
 
 
-__all__ = [
-    "__version__",
-    "Assessment",
-    "CodeDocument",
-    "CodeRegistry",
-    "CommunityReport",
-    "DiGraph",
-    "EdgeList",
-    "Mention",
-    "NullModelStats",
-    "Partition",
-    "RichClub",
-    "Role",
-    "UGraph",
-    "average_path_length",
-    "betweenness_scores",
-    "brute_force_best_partition",
-    "build_edge_list",
-    "club_cohesion",
-    "cnm_communities",
-    "concentrated_world_assessment",
-    "degree_centrality",
-    "degree_preserving_rewire",
-    "degree_profile",
-    "density",
-    "digraph_from_ugraph",
-    "erdos_renyi_gnm",
-    "find_citations",
-    "global_clustering",
-    "harmonic_closeness_scores",
-    "load_registry",
-    "modularity",
-    "normalize_text",
-    "normalized_rich_club",
-    "parse_edge_list",
-    "read_report",
-    "reduced_network_partition",
-    "rich_club_coefficient",
-    "rich_club_members",
-    "top_cited",
-    "top_citing",
-    "watts_strogatz",
-    "write_dot",
-    "write_graphml",
-    "write_report",
-]
+__all__ = ["__version__", *_SOURCES]

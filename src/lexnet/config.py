@@ -7,6 +7,7 @@ import math
 from typing import Any, Mapping, NamedTuple
 
 from .errors import ConfigError
+from .seeding import sha256
 
 
 class PipelineConfig(NamedTuple):
@@ -54,10 +55,8 @@ class PipelineConfig(NamedTuple):
             raise ConfigError(f"ws_p must be in [0, 1], got {self.ws_p!r}")
 
     def digest(self) -> str:
-        import hashlib  # on first use: only analysis commands hash the config
-
         payload = json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def config_from_mapping(mapping: Mapping[str, Any]) -> PipelineConfig:

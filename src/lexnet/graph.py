@@ -291,19 +291,3 @@ class UGraph:
             for v in sorted(self._adj[u]):
                 if v > u:
                     yield u, v
-
-
-def digraph_from_ugraph(ug: UGraph) -> DiGraph:
-    """Embed an undirected graph as a digraph, one arc per edge (low -> high).
-
-    This is the canonical injection used when feeding undirected baseline
-    graphs (Watts-Strogatz, Erdos-Renyi) into analyses defined on digraphs:
-    no reciprocal arcs are invented, so arc counts equal edge counts. Node
-    v is labeled ``v<i>``, zero-padded to one width so that slug order,
-    which breaks rank ties, is node order.
-    """
-    width = len(str(ug.node_count - 1))
-    g = DiGraph([f"v{i:0{width}d}" for i in ug.node_ids()])
-    for u, v in ug.edges():
-        g.add_edge(u, v)
-    return g

@@ -155,28 +155,53 @@ def rich_club_members(g: DiGraph, k_citing: int, k_cited: int) -> RichClub:
     )
 
 
-def rich_club_coefficient(ug: UGraph, k: int) -> float | None:
-    """phi(k): edge density among nodes of degree strictly greater than k.
+def phi_table(ug: UGraph) -> dict[int, float | None]:
+    """phi(k) for every k from 0 to the maximum degree, in one pass.
 
-    Returns None (undefined) when fewer than two nodes qualify.
+    phi(k) is the edge density among the nodes of degree strictly greater
+    than k, and None (undefined) when fewer than two nodes qualify, as it
+    is past the maximum degree: ``phi_table(ug).get(k)`` reads any k >= 0.
+    A node counts towards phi(k) while its degree exceeds k, and an edge
+    while its smaller endpoint degree does, so suffix sums over those two
+    histograms give every n_k and e_k.
     """
-    rich = [v for v in ug.node_ids() if ug.degree(v) > k]
-    n_k = len(rich)
-    if n_k < 2:
-        return None
-    rich_set = set(rich)
-    e_k = sum(1 for u, v in ug.edges() if u in rich_set and v in rich_set)
-    return 2.0 * e_k / (n_k * (n_k - 1))
+    adj = ug._adj  # read only
+    degree = [len(nbrs) for nbrs in adj]
+    max_deg = max(degree, default=0)
+    nodes_at = [0] * (max_deg + 1)
+    edges_at = [0] * (max_deg + 1)
+    for u, nbrs in enumerate(adj):
+        nodes_at[degree[u]] += 1
+        for v in nbrs:
+            if v > u:
+                edges_at[min(degree[u], degree[v])] += 1
+    phis: list[float | None] = []
+    n_k = e_k = 0  # nodes and edges with every endpoint degree above k
+    for k in range(max_deg, -1, -1):
+        phis.append(2.0 * e_k / (n_k * (n_k - 1)) if n_k >= 2 else None)
+        n_k += nodes_at[k]
+        e_k += edges_at[k]
+    return dict(enumerate(reversed(phis)))
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (0.0 for a single value)."""
+    """Mean and sample standard deviation (0.0 for a single value).
+
+    Each sum adds the values left to right, as ``sum()`` did before
+    Python 3.12 made it compensated, so a report's bytes do not depend on
+    the interpreter version.
+    """
     k = len(values)
-    mean = sum(values) / k
+    total = 0.0
+    for x in values:
+        total += x
+    mean = total / k
     if k < 2:
         return mean, 0.0
-    var = sum((x - mean) ** 2 for x in values) / (k - 1)
-    return mean, math.sqrt(var)
+    squares = 0.0
+    for x in values:
+        squares += (x - mean) ** 2
+    return mean, math.sqrt(squares / (k - 1))
 
 
 class NormalizedPhi(NamedTuple):
@@ -197,7 +222,7 @@ def normalized_rich_club(
     """
     from .nullmodels import degree_preserving_rewire
 
-    phi = rich_club_coefficient(ug, k)
+    phi = phi_table(ug).get(k)
     if phi is None:
         raise UndefinedCoefficientError(f"phi({k}) undefined: fewer than 2 nodes exceed degree {k}")
     if samples < 1:
@@ -206,7 +231,7 @@ def normalized_rich_club(
     values = []
     for i in range(samples):
         null = degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
-        null_phi = rich_club_coefficient(null, k)
+        null_phi = phi_table(null).get(k)
         # the degree sequence is preserved, so phi stays defined
         values.append(0.0 if null_phi is None else null_phi)
     mean, stddev = mean_std(values)
@@ -218,49 +243,21 @@ def normalized_rich_club(
 # -- clustering and paths -----------------------------------------------------
 
 
-def triangles_per_node(ug: UGraph) -> list[int]:
-    """Number of triangles each node participates in.
+def global_clustering(ug: UGraph) -> float:
+    """Transitivity: 3 * triangles / connected triples (0.0 without triples).
 
-    Each edge {u, v} lies on |N(u) & N(v)| triangles; summing that over
-    the edges at a node counts each of its triangles twice, once per edge.
+    Each edge {u, v} lies on |N(u) & N(v)| triangles, so summing that over
+    the edges counts every triangle three times, once per edge.
     """
     adj = ug._adj  # read only
-    twice = [0] * len(adj)
+    closed = triples = 0
     for v, nbrs in enumerate(adj):
+        d = len(nbrs)
+        triples += d * (d - 1) // 2
         for u in nbrs:
             if u > v:
-                shared = len(nbrs & adj[u])
-                twice[v] += shared
-                twice[u] += shared
-    return [t // 2 for t in twice]
-
-
-class ClusteringSummary(NamedTuple):
-    transitivity: float
-    average_local: float
-
-
-def global_clustering(ug: UGraph) -> ClusteringSummary:
-    """Transitivity and the mean local clustering coefficient.
-
-    Transitivity is 3 * triangles / connected triples; the local average
-    runs over nodes of degree >= 2 only. Both are 0 on triangle-free
-    graphs (and when no node has two neighbors).
-    """
-    tri = triangles_per_node(ug)
-    triangle_total = sum(tri) // 3
-    triples = 0
-    local = []
-    adj = ug._adj  # read only
-    for v in ug.node_ids():
-        d = len(adj[v])
-        if d >= 2:
-            pairs = d * (d - 1) // 2
-            triples += pairs
-            local.append(tri[v] / pairs)
-    transitivity = 3.0 * triangle_total / triples if triples else 0.0
-    average_local = sum(local) / len(local) if local else 0.0
-    return ClusteringSummary(transitivity, average_local)
+                closed += len(nbrs & adj[u])
+    return closed / triples if triples else 0.0
 
 
 class PathSummary(NamedTuple):
@@ -366,30 +363,3 @@ def degree_centrality(g: DiGraph) -> list[float]:
     if n < 2:
         return [0.0] * n
     return [(g.in_degree(v) + g.out_degree(v)) / (2 * (n - 1)) for v in g.node_ids()]
-
-
-def phi_table(ug: UGraph) -> dict[int, float | None]:
-    """phi(k) for every k from 0 to the maximum degree, in one pass.
-
-    A node counts towards phi(k) while its degree exceeds k, and an edge
-    while its smaller endpoint degree does, so suffix sums over those two
-    histograms give every n_k and e_k; the values equal
-    :func:`rich_club_coefficient` exactly.
-    """
-    adj = ug._adj  # read only
-    degree = [len(nbrs) for nbrs in adj]
-    max_deg = max(degree, default=0)
-    nodes_at = [0] * (max_deg + 1)
-    edges_at = [0] * (max_deg + 1)
-    for u, nbrs in enumerate(adj):
-        nodes_at[degree[u]] += 1
-        for v in nbrs:
-            if v > u:
-                edges_at[min(degree[u], degree[v])] += 1
-    phis: list[float | None] = []
-    n_k = e_k = 0  # nodes and edges with every endpoint degree above k
-    for k in range(max_deg, -1, -1):
-        phis.append(2.0 * e_k / (n_k * (n_k - 1)) if n_k >= 2 else None)
-        n_k += nodes_at[k]
-        e_k += edges_at[k]
-    return dict(enumerate(reversed(phis)))

@@ -206,8 +206,9 @@ def _stats_over(model: str, params: dict, graphs: Iterable[UGraph], seed: int) -
     for ug in graphs:
         n = ug.node_count
         densities.append(2.0 * ug.edge_count / (n * (n - 1)))
-        clusterings.append(global_clustering(ug).transitivity)
+        clusterings.append(global_clustering(ug))
         paths.append(average_path_length(ug).average)
+    density_mean, _ = mean_std(densities)
     c_mean, c_std = mean_std(clusterings)
     p_mean, p_std = mean_std(paths)
     return NullModelStats(
@@ -215,7 +216,7 @@ def _stats_over(model: str, params: dict, graphs: Iterable[UGraph], seed: int) -
         samples=len(densities),
         seed=seed,
         params=params,
-        density_mean=sum(densities) / len(densities),
+        density_mean=density_mean,
         clustering_mean=c_mean,
         clustering_stddev=c_std,
         path_length_mean=p_mean,
@@ -301,7 +302,7 @@ def concentrated_world_assessment(
     m = ug.edge_count
 
     observed_density = density(g)
-    observed_transitivity = global_clustering(ug).transitivity
+    observed_transitivity = global_clustering(ug)
     observed_path = average_path_length(ug).average
     mean_total_degree = 2.0 * g.arc_count / n
 

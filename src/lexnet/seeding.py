@@ -1,5 +1,15 @@
 """Deterministic seed derivation for independent random streams."""
 
+# CPython's builtin SHA-256, as random.py takes its SHA-512: hashlib would
+# also load OpenSSL, which costs milliseconds and megabytes at start.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def derive_seed(base: int, tag: str) -> int:
     """Derive a child seed from a base seed and a stream tag.
@@ -8,7 +18,5 @@ def derive_seed(base: int, tag: str) -> int:
     independent of each other and of the base stream, and the result is
     stable across platforms and Python versions.
     """
-    import hashlib  # on first use: only analysis commands derive seeds
-
-    digest = hashlib.sha256(f"{base}:{tag}".encode("utf-8")).digest()
+    digest = sha256(f"{base}:{tag}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

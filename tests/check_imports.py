@@ -18,10 +18,10 @@ import sys
 # dataclasses pulls in inspect, ast and dis; xml.sax.saxutils pulls in
 # urllib.request and with it http, email, ssl and socket. Together they
 # cost tens of milliseconds at every command's start. hashlib loads
-# OpenSSL's _hashlib, about 5 ms, which only the seed and config digests
-# need, so they import it at first use. A name stands for the module and
-# everything under it. urllib.parse is allowed: pathlib imports it, and
-# it is light.
+# OpenSSL's _hashlib, 4-7 ms; the seed and config digests use CPython's
+# builtin SHA-256 instead (lexnet.seeding), and no command loads hashlib.
+# A name stands for the module and everything under it. urllib.parse is
+# allowed: pathlib imports it, and it is light.
 FORBIDDEN = (
     "dataclasses", "inspect", "xml", "urllib.request", "http", "email", "ssl", "socket",
     "hashlib",

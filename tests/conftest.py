@@ -20,7 +20,6 @@ from lexnet.errors import (
 )
 from lexnet.extraction import _APOSTROPHES, _LIGATURES
 from lexnet.graph import DiGraph, UGraph
-from lexnet.metrics import ClusteringSummary
 
 
 @st.composite
@@ -54,6 +53,22 @@ def make_ugraph(slugs, edges):
     for u, v in edges:
         ug.add_edge(index[u] if isinstance(u, str) else u, index[v] if isinstance(v, str) else v)
     return ug
+
+
+def digraph_from_ugraph(ug: UGraph) -> DiGraph:
+    """Embed an undirected graph as a digraph, one arc per edge (low -> high).
+
+    This is how undirected baseline graphs (Watts-Strogatz, Erdos-Renyi)
+    feed analyses defined on digraphs: no reciprocal arcs are invented,
+    so arc counts equal edge counts. Node v is labeled ``v<i>``,
+    zero-padded to one width so that slug order, which breaks rank ties,
+    is node order.
+    """
+    width = len(str(ug.node_count - 1))
+    g = DiGraph([f"v{i:0{width}d}" for i in ug.node_ids()])
+    for u, v in ug.edges():
+        g.add_edge(u, v)
+    return g
 
 
 @pytest.fixture
@@ -396,21 +411,11 @@ def reference_triangles_per_node(ug: UGraph) -> list[int]:
     return counts
 
 
-def reference_global_clustering(ug: UGraph) -> ClusteringSummary:
-    """global_clustering over reference_triangles_per_node and checked degrees."""
-    tri = reference_triangles_per_node(ug)
-    triangle_total = sum(tri) // 3
-    triples = 0
-    local = []
-    for v in ug.node_ids():
-        d = ug.degree(v)
-        if d >= 2:
-            pairs = d * (d - 1) // 2
-            triples += pairs
-            local.append(tri[v] / pairs)
-    transitivity = 3.0 * triangle_total / triples if triples else 0.0
-    average_local = sum(local) / len(local) if local else 0.0
-    return ClusteringSummary(transitivity, average_local)
+def reference_transitivity(ug: UGraph) -> float:
+    """3 * triangles / connected triples, over reference_triangles_per_node."""
+    triangle_total = sum(reference_triangles_per_node(ug)) // 3
+    triples = sum(d * (d - 1) // 2 for d in map(ug.degree, ug.node_ids()))
+    return 3.0 * triangle_total / triples if triples else 0.0
 
 
 # -- reference greedy modularity ---------------------------------------------------

@@ -784,6 +784,8 @@ def test_each_command_imports_what_it_runs(command, loads_analysis, extracted, f
             "print(json.dumps(sorted(sys.modules)))")
     loaded = set(json.loads(_fresh_python(["-c", code], cwd=tmp_path)))
     assert _ANALYSIS_MODULES & loaded == (_ANALYSIS_MODULES if loads_analysis else set())
+    # the seed and config digests take CPython's own SHA-256, not OpenSSL's
+    assert not {"hashlib", "_hashlib"} & loaded
 
 
 @pytest.mark.parametrize(("argv", "code"), [(["frobnicate"], 2), (["fixture", "--out-dir", "fx"], 0)])

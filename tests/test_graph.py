@@ -11,10 +11,11 @@ from lexnet.errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-from lexnet.graph import DiGraph, UGraph, digraph_from_ugraph, distance_counts
+from lexnet.graph import DiGraph, UGraph, distance_counts
 from lexnet.nullmodels import erdos_renyi_gnm
 
 from conftest import (
+    digraph_from_ugraph,
     make_digraph,
     make_ugraph,
     random_digraph,

@@ -17,13 +17,12 @@ from lexnet.metrics import (
     density,
     global_clustering,
     harmonic_closeness_scores,
+    mean_std,
     normalized_rich_club,
     phi_table,
-    rich_club_coefficient,
     rich_club_members,
     top_cited,
     top_citing,
-    triangles_per_node,
 )
 from lexnet.nullmodels import erdos_renyi_gnm, watts_strogatz
 
@@ -36,9 +35,8 @@ from conftest import (
     random_ugraph,
     reference_average_path_length,
     reference_betweenness,
-    reference_global_clustering,
     reference_harmonic_closeness,
-    reference_triangles_per_node,
+    reference_transitivity,
     ugraphs,
 )
 
@@ -230,25 +228,28 @@ class TestRichClubMembers:
 
 
 class TestRichClubCoefficient:
+    """phi(k) at one k, read from the table as normalized_rich_club reads it."""
+
     def test_complete_four(self):
         ug = make_ugraph("abcd", [(a, b) for a in "abcd" for b in "abcd" if a < b])
-        assert rich_club_coefficient(ug, 2) == 1.0
+        assert phi_table(ug).get(2) == 1.0
 
     def test_star_undefined(self):
         ug = make_ugraph("habcd", [("h", x) for x in "abcd"])
-        assert rich_club_coefficient(ug, 1) is None
+        assert phi_table(ug).get(1) is None
 
     def test_bridge_fixture(self, bridge_ugraph):
-        assert rich_club_coefficient(bridge_ugraph, 2) == 1.0
+        assert phi_table(bridge_ugraph).get(2) == 1.0
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(41)
         for _ in range(30):
             ug = random_ugraph(rng, rng.randint(3, 10))
             max_deg = max(ug.degree(v) for v in ug.node_ids())
-            for k in range(max_deg + 2):
+            table = phi_table(ug)
+            for k in range(max_deg + 2):  # past the maximum degree phi is undefined
                 expected = brute_force_phi(ug, k)
-                actual = rich_club_coefficient(ug, k)
+                actual = table.get(k)
                 if expected is None:
                     assert actual is None
                 else:
@@ -264,23 +265,24 @@ class TestRichClubCoefficient:
                 [f"m{i}" for i in range(8)],
                 [(perm[u], perm[v]) for u, v in ug.edges()],
             )
-            for k in range(8):
-                assert rich_club_coefficient(ug, k) == rich_club_coefficient(relabeled, k)
+            assert phi_table(ug) == phi_table(relabeled)
 
 
 class TestPhiTable:
     @staticmethod
     def per_k(ug):
         max_deg = max(ug.degree(v) for v in ug.node_ids())
-        return {k: rich_club_coefficient(ug, k) for k in range(max_deg + 1)}
+        return {k: brute_force_phi(ug, k) for k in range(max_deg + 1)}
 
-    def test_matches_rich_club_coefficient(self):
+    # 2.0 * e / (n (n - 1)) and the recount's e / (n (n - 1) / 2) round
+    # the same exact quotient, so the values are equal, not just close
+    def test_matches_brute_force_on_seeded_graphs(self):
         for ug in _seeded_graphs():
             assert phi_table(ug) == self.per_k(ug)
 
     @given(ugraphs())
     @settings(max_examples=200, derandomize=True)
-    def test_matches_rich_club_coefficient_property(self, ug):
+    def test_matches_brute_force_property(self, ug):
         assert phi_table(ug) == self.per_k(ug)
 
     def test_edgeless_has_only_k_zero(self):
@@ -290,6 +292,20 @@ class TestPhiTable:
         # k=0: all five nodes, 4 of 10 pairs linked; k>=1 leaves the hub alone
         ug = make_ugraph("habcd", [("h", x) for x in "abcd"])
         assert phi_table(ug) == {0: 0.4, 1: None, 2: None, 3: None, 4: None}
+
+
+class TestMeanStd:
+    def test_adds_left_to_right(self):
+        # ten additions of 0.1 round down to 0.9999999999999999; the
+        # compensated sum() of Python 3.12+ gives exactly 1.0, so a mean of 0.1
+        assert mean_std([0.1] * 10)[0] == 0.09999999999999999
+
+    def test_sample_stddev(self):
+        # deviations -4/3, -1/3 and 5/3 square to 42/9; over k - 1 = 2 that is 7/3
+        mean, stddev = mean_std([1.0, 2.0, 4.0])
+        assert mean == pytest.approx(7 / 3, abs=1e-15)
+        assert stddev == pytest.approx(math.sqrt(7 / 3), abs=1e-15)
+        assert mean_std([0.5]) == (0.5, 0.0)
 
 
 class TestNormalizedRichClub:
@@ -320,22 +336,19 @@ class TestNormalizedRichClub:
 class TestClustering:
     def test_triangle(self):
         ug = make_ugraph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-        assert global_clustering(ug) == (1.0, 1.0)
+        assert global_clustering(ug) == 1.0
 
     def test_path(self):
         ug = make_ugraph("abc", [("a", "b"), ("b", "c")])
-        assert global_clustering(ug) == (0.0, 0.0)
+        assert global_clustering(ug) == 0.0
 
     def test_bridge_fixture(self, bridge_ugraph):
-        summary = global_clustering(bridge_ugraph)
-        assert summary.transitivity == pytest.approx(0.6, abs=1e-15)
-        assert summary.average_local == pytest.approx(7 / 9, abs=1e-15)
+        assert global_clustering(bridge_ugraph) == pytest.approx(0.6, abs=1e-15)
 
     @pytest.mark.parametrize("name", sorted(_shaped_graphs()))
     def test_matches_pair_scan_on_shapes(self, name):
         ug = _shaped_graphs()[name]
-        assert triangles_per_node(ug) == reference_triangles_per_node(ug)
-        assert global_clustering(ug) == reference_global_clustering(ug)
+        assert global_clustering(ug) == reference_transitivity(ug)
 
     def test_matches_pair_scan_on_seeded_graphs(self):
         graphs = _seeded_graphs()
@@ -343,14 +356,12 @@ class TestClustering:
             graphs.append(erdos_renyi_gnm(52, 241, seed))
             graphs.append(watts_strogatz(52, 8, 0.1, seed))
         for ug in graphs:
-            assert triangles_per_node(ug) == reference_triangles_per_node(ug)
-            assert global_clustering(ug) == reference_global_clustering(ug)
+            assert global_clustering(ug) == reference_transitivity(ug)
 
     @given(ugraphs())
     @settings(max_examples=200, derandomize=True)
     def test_matches_pair_scan_property(self, ug):
-        assert triangles_per_node(ug) == reference_triangles_per_node(ug)
-        assert global_clustering(ug) == reference_global_clustering(ug)
+        assert global_clustering(ug) == reference_transitivity(ug)
 
 
 class TestPathLength:
