@@ -20,7 +20,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import ConfigError, DegenerateGraphError, InvalidEncodingError, LexnetError
+from .errors import ConfigError, DegenerateGraphError, LexnetError
 # extraction and fixture are imported at start-up, not in their handlers:
 # perfbench/tracing.patched looks up every traced module in sys.modules,
 # including on workloads that never run extract or fixture
@@ -59,7 +59,7 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise InvalidEncodingError(f"{path}: {exc}") from exc
+        raise LexnetError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise LexnetError(f"cannot read {path}: {exc}") from exc
 

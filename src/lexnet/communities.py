@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import EmptyGraphError, PartialAssignmentError, TooLargeError
+from .errors import DegenerateGraphError, LexnetError
 from .graph import DiGraph, UGraph
 
 
@@ -32,10 +32,10 @@ def modularity(ug: UGraph, assignment: Sequence[int]) -> float:
     """
     m = ug.edge_count
     if m == 0:
-        raise EmptyGraphError("modularity is undefined without edges")
+        raise DegenerateGraphError("modularity is undefined without edges")
     n = ug.node_count
     if len(assignment) != n:
-        raise PartialAssignmentError(f"assignment covers {len(assignment)} of {n} nodes")
+        raise LexnetError(f"assignment covers {len(assignment)} of {n} nodes")
     internal: dict[int, int] = {}
     degree_sum: dict[int, int] = {}
     for v in ug.node_ids():
@@ -117,7 +117,7 @@ def cnm_trace(ug: UGraph) -> CnmTrace:
     """
     m = ug.edge_count
     if m == 0:
-        raise EmptyGraphError("community detection needs at least one edge")
+        raise DegenerateGraphError("community detection needs at least one edge")
     n = ug.node_count
     inv_m = 1.0 / m
     inv_2m2 = 1.0 / (2.0 * m * m)
@@ -273,10 +273,10 @@ def brute_force_best_partition(ug: UGraph) -> tuple[tuple[int, ...], float]:
     """
     n = ug.node_count
     if n > 12:
-        raise TooLargeError(f"exhaustive search is guarded at 12 nodes, got {n}")
+        raise LexnetError(f"exhaustive search is guarded at 12 nodes, got {n}")
     m = ug.edge_count
     if m == 0:
-        raise EmptyGraphError("modularity is undefined without edges")
+        raise DegenerateGraphError("modularity is undefined without edges")
     deg = [ug.degree(v) for v in range(n)]
     edges = list(ug.edges())
     two_m = 2.0 * m
@@ -335,7 +335,7 @@ def reduced_network_partition(
     """
     club = set(rich_club)
     if club.issuperset(g.node_ids()):
-        raise EmptyGraphError("community detection needs at least one edge")
+        raise DegenerateGraphError("community detection needs at least one edge")
     reduced, _ = g.remove_nodes(club)
     ug = reduced.undirected_projection()
     partition = cnm_communities(ug)

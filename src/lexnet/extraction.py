@@ -26,13 +26,7 @@ import unicodedata
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    AmbiguousAliasError,
-    DuplicateDocumentError,
-    DuplicateSlugError,
-    MalformedRegistryError,
-    UnknownDocumentSlugError,
-)
+from .errors import LexnetError
 
 _APOSTROPHES = "’‘ʼ`´"  # curly quotes, modifier letter, backtick, acute
 _LIGATURES = {"œ": "oe", "æ": "ae"}  # not decomposed by NFKD
@@ -136,16 +130,14 @@ class CodeRegistry:
         slugs = set()
         for entry in self.entries:
             if entry.slug in slugs:
-                raise DuplicateSlugError(f"slug {entry.slug!r} appears twice")
+                raise LexnetError(f"slug {entry.slug!r} appears twice")
             slugs.add(entry.slug)
             for alias in entry.aliases:
                 if not alias:
-                    raise MalformedRegistryError(
-                        f"entry {entry.slug!r} has an empty alias"
-                    )
+                    raise LexnetError(f"entry {entry.slug!r} has an empty alias")
                 owner = self._alias_to_slug.get(alias)
                 if owner is not None and owner != entry.slug:
-                    raise AmbiguousAliasError(
+                    raise LexnetError(
                         f"alias {alias!r} claimed by both {owner!r} and {entry.slug!r}"
                     )
                 self._alias_to_slug[alias] = entry.slug
@@ -189,15 +181,13 @@ def load_registry(content: str) -> CodeRegistry:
             continue
         fields = raw.rstrip("\n").split("\t")
         if len(fields) != 3:
-            raise MalformedRegistryError(
-                f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
+            raise LexnetError(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
         slug, display_name, alias_field = (f.strip() for f in fields)
         if not slug or not display_name or not alias_field:
-            raise MalformedRegistryError(f"line {lineno}: empty field")
+            raise LexnetError(f"line {lineno}: empty field")
         aliases = tuple(normalize_text(a) for a in alias_field.split("|"))
         if any(not a for a in aliases):
-            raise MalformedRegistryError(f"line {lineno}: empty alias")
+            raise LexnetError(f"line {lineno}: empty alias")
         entries.append(RegistryEntry(slug, display_name, aliases))
     return CodeRegistry(entries)
 
@@ -222,7 +212,7 @@ class Mention(NamedTuple):
 def find_citations(doc: CodeDocument, registry: CodeRegistry) -> list[Mention]:
     """All mentions of other codes in the document, in offset order."""
     if doc.slug not in registry:
-        raise UnknownDocumentSlugError(f"document slug {doc.slug!r} not in registry")
+        raise LexnetError(f"document slug {doc.slug!r} not in registry")
     normalized = normalize_text(doc.text)
     mentions = []
     for match in registry.scan(normalized):
@@ -256,7 +246,7 @@ def build_edge_list(corpus: Iterable[CodeDocument], registry: CodeRegistry) -> E
     seen = set()
     for doc in corpus:
         if doc.slug in seen:
-            raise DuplicateDocumentError(f"two documents for slug {doc.slug!r}")
+            raise LexnetError(f"two documents for slug {doc.slug!r}")
         seen.add(doc.slug)
         for mention in find_citations(doc, registry):
             counts[(doc.slug, mention.cited_slug)] += 1

@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DuplicateLabelError,
-    EmptyNodeSetError,
-    SelfLoopError,
-    UnknownNodeError,
-)
+from .errors import LexnetError
 
 NodeId = int
 
@@ -78,14 +73,14 @@ class DiGraph:
 
     def __init__(self, slugs: Sequence[str]):
         if not slugs:
-            raise EmptyNodeSetError("a graph needs at least one node")
+            raise LexnetError("a graph needs at least one node")
         self._slugs = tuple(slugs)
         self._slug_to_id: dict[str, int] = {}
         for i, slug in enumerate(self._slugs):
             if not slug:
                 raise ValueError("slug must be non-empty")
             if slug in self._slug_to_id:
-                raise DuplicateLabelError(f"slug {slug!r} appears twice")
+                raise LexnetError(f"slug {slug!r} appears twice")
             self._slug_to_id[slug] = i
         n = len(self._slugs)
         self._succ: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -113,11 +108,11 @@ class DiGraph:
         try:
             return self._slug_to_id[slug]
         except KeyError:
-            raise UnknownNodeError(f"no node with slug {slug!r}") from None
+            raise LexnetError(f"no node with slug {slug!r}") from None
 
     def _check(self, v: NodeId) -> None:
         if not isinstance(v, int) or v < 0 or v >= len(self._slugs):
-            raise UnknownNodeError(f"node id {v!r} outside 0..{len(self._slugs) - 1}")
+            raise LexnetError(f"node id {v!r} outside 0..{len(self._slugs) - 1}")
 
     # -- arcs ---------------------------------------------------------------
 
@@ -134,7 +129,7 @@ class DiGraph:
         self._check(source)
         self._check(target)
         if source == target:
-            raise SelfLoopError(f"self-citation on node {source} ({self.slug(source)!r})")
+            raise LexnetError(f"self-citation on node {source} ({self.slug(source)!r})")
         if count < 1:
             raise ValueError("count must be a positive integer")
         succ = self._succ[source]
@@ -217,7 +212,7 @@ class UGraph:
 
     def __init__(self, n: int):
         if n < 1:
-            raise EmptyNodeSetError("a graph needs at least one node")
+            raise LexnetError("a graph needs at least one node")
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._edge_count = 0
 
@@ -242,7 +237,7 @@ class UGraph:
 
     def _check(self, v: NodeId) -> None:
         if not isinstance(v, int) or v < 0 or v >= len(self._adj):
-            raise UnknownNodeError(f"node id {v!r} outside 0..{len(self._adj) - 1}")
+            raise LexnetError(f"node id {v!r} outside 0..{len(self._adj) - 1}")
 
     @property
     def edge_count(self) -> int:
@@ -253,7 +248,7 @@ class UGraph:
         self._check(u)
         self._check(v)
         if u == v:
-            raise SelfLoopError(f"self-loop on node {u}")
+            raise LexnetError(f"self-loop on node {u}")
         if v not in self._adj[u]:
             self._adj[u].add(v)
             self._adj[v].add(u)
@@ -263,7 +258,7 @@ class UGraph:
         self._check(u)
         self._check(v)
         if v not in self._adj[u]:
-            raise UnknownNodeError(f"no edge {{{u},{v}}}")
+            raise LexnetError(f"no edge {{{u},{v}}}")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._edge_count -= 1

@@ -12,8 +12,8 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    BadKError,
     DegenerateGraphError,
+    LexnetError,
     NullModelDegenerateError,
     UndefinedCoefficientError,
 )
@@ -83,7 +83,7 @@ class Ranking(NamedTuple):
 def _top_by_degree(g: DiGraph, k: int, degree_of) -> Ranking:
     n = g.node_count
     if not isinstance(k, int) or k < 1 or k > n:
-        raise BadKError(f"k must be in 1..{n}, got {k!r}")
+        raise LexnetError(f"k must be in 1..{n}, got {k!r}")
     order = sorted(g.node_ids(), key=lambda v: (-degree_of(v), g.slug(v)))
     tie = k < n and degree_of(order[k - 1]) == degree_of(order[k])
     return Ranking(order[:k], tie)
@@ -260,18 +260,12 @@ def global_clustering(ug: UGraph) -> float:
     return closed / triples if triples else 0.0
 
 
-class PathSummary(NamedTuple):
-    average: float
-    reachable_pair_fraction: float
-
-
-def average_path_length(ug: UGraph) -> PathSummary:
+def average_path_length(ug: UGraph) -> float:
     """Mean shortest-path distance over the largest connected component.
 
     Distances are averaged over unordered reachable pairs within the
-    largest component (ties broken by smallest node id); the fraction of
-    all node pairs that are reachable is reported alongside so smaller
-    components and isolated vertices stay visible.
+    largest component (ties broken by smallest node id). A graph without
+    an edge has no such pair and returns 0.0.
     """
     n = ug.node_count
     if n < 2:
@@ -279,17 +273,15 @@ def average_path_length(ug: UGraph) -> PathSummary:
     # a node's reach mask is its component, so one sweep also finds those
     counts, reach = distance_counts([list(nbrs) for nbrs in ug._adj])  # read only
     sizes = [mask.bit_count() for mask in reach]
-    # each component of size s adds s - 1 to s nodes: twice its s(s-1)/2 pairs
-    fraction = (sum(sizes) - n) // 2 / (n * (n - 1) // 2)
     size = max(sizes)
     if size < 2:
-        return PathSummary(0.0, fraction)
+        return 0.0
     # the first node of the largest size is its component's smallest member
     largest = reach[sizes.index(size)]
     rows = (row for row, mask in zip(counts, reach) if mask == largest)
     total = sum(d * c for row in rows for d, c in enumerate(row, 1))
     pairs = size * (size - 1) // 2
-    return PathSummary(total / 2 / pairs, fraction)
+    return total / 2 / pairs
 
 
 # -- centrality -----------------------------------------------------------------

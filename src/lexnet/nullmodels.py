@@ -12,12 +12,10 @@ from typing import Iterable, NamedTuple
 
 from .config import PipelineConfig
 from .errors import (
-    BadLatticeDegreeError,
     DegenerateGraphError,
-    EmptyNodeSetError,
+    LexnetError,
     NullModelDegenerateError,
     TooFewEdgesError,
-    TooManyEdgesError,
     UndefinedCoefficientError,
 )
 from .graph import DiGraph, UGraph
@@ -42,12 +40,12 @@ def erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
     """
     max_edges = n * (n - 1) // 2
     if m > max_edges:
-        raise TooManyEdgesError(f"m={m} exceeds the simple-graph maximum {max_edges}")
+        raise LexnetError(f"m={m} exceeds the simple-graph maximum {max_edges}")
     if m < 0:
         raise ValueError("m must be non-negative")
     rng = random.Random(seed)
     if n < 1:
-        raise EmptyNodeSetError("a graph needs at least one node")
+        raise LexnetError("a graph needs at least one node")
     adj: list[set[int]] = [set() for _ in range(n)]
     if max_edges <= 4 * m:
         # dense request: sample directly from the materialized pair list
@@ -88,7 +86,7 @@ def watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
     ``random()``/``randrange`` loop with less interpreter work per draw.
     """
     if k_even % 2 != 0 or k_even < 2 or k_even >= n:
-        raise BadLatticeDegreeError(f"lattice degree must be even and in 2..n-1, got {k_even}")
+        raise LexnetError(f"lattice degree must be even and in 2..n-1, got {k_even}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = random.Random(seed)
@@ -207,7 +205,7 @@ def _stats_over(model: str, params: dict, graphs: Iterable[UGraph], seed: int) -
         n = ug.node_count
         densities.append(2.0 * ug.edge_count / (n * (n - 1)))
         clusterings.append(global_clustering(ug))
-        paths.append(average_path_length(ug).average)
+        paths.append(average_path_length(ug))
     density_mean, _ = mean_std(densities)
     c_mean, c_std = mean_std(clusterings)
     p_mean, p_std = mean_std(paths)
@@ -303,7 +301,7 @@ def concentrated_world_assessment(
 
     observed_density = density(g)
     observed_transitivity = global_clustering(ug)
-    observed_path = average_path_length(ug).average
+    observed_path = average_path_length(ug)
     mean_total_degree = 2.0 * g.arc_count / n
 
     samples = config.null_samples

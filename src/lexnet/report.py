@@ -13,13 +13,7 @@ import math
 import warnings
 from typing import Any, Collection, Mapping
 
-from .errors import (
-    EmptyInputError,
-    InconsistentInputsError,
-    MalformedLineError,
-    SchemaViolationError,
-    SelfLoopLineError,
-)
+from .errors import LexnetError, MalformedLineError, SchemaViolationError
 from .graph import DiGraph
 
 SCHEMA_VERSION = 1
@@ -59,7 +53,7 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
         if count < 1:
             raise MalformedLineError(lineno, f"count must be positive, got {count}")
         if citing == cited:
-            raise SelfLoopLineError(lineno, citing)
+            raise MalformedLineError(lineno, f"self-citation on {citing!r}")
         records.append((citing, cited, count, lineno))
         slugs.add(citing)
         slugs.add(cited)
@@ -69,7 +63,7 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
             if slug and not slug.startswith("#"):
                 slugs.add(slug)
     if not slugs:
-        raise EmptyInputError("no nodes in edge list or sidecar")
+        raise LexnetError("no nodes in edge list or sidecar")
     graph = DiGraph(sorted(slugs))
     seen: set[tuple[str, str]] = set()
     for citing, cited, count, lineno in records:
@@ -102,25 +96,25 @@ def _export_table(
     Node rows are ``(slug, node id, in top_citing, in top_cited)``; arc
     rows are ``(citing slug, cited slug, count)``. The roles must name
     exactly the graph's slugs, and every community key and rich-club slug
-    must be a graph slug, or InconsistentInputsError is raised.
+    must be a graph slug, or LexnetError is raised.
     """
     slugs = g.slugs
     graph_slugs = set(slugs)
     missing = graph_slugs - set(roles)
     if missing:
-        raise InconsistentInputsError(f"roles missing for {sorted(missing)[:3]}...")
+        raise LexnetError(f"roles missing for {sorted(missing)[:3]}...")
     unknown = set(roles) - graph_slugs
     if unknown:
-        raise InconsistentInputsError(f"roles for unknown slugs {sorted(unknown)[:3]}...")
+        raise LexnetError(f"roles for unknown slugs {sorted(unknown)[:3]}...")
     if communities:
         unknown = set(communities) - graph_slugs
         if unknown:
-            raise InconsistentInputsError(f"communities for unknown slugs {sorted(unknown)[:3]}...")
+            raise LexnetError(f"communities for unknown slugs {sorted(unknown)[:3]}...")
     citing = set(rich_club.get("top_citing", ())) if rich_club else set()
     cited = set(rich_club.get("top_cited", ())) if rich_club else set()
     unknown = (citing | cited) - graph_slugs
     if unknown:
-        raise InconsistentInputsError(f"rich-club slug {min(unknown)!r} not in graph")
+        raise LexnetError(f"rich-club slug {min(unknown)!r} not in graph")
     nodes = sorted((slug, v, slug in citing, slug in cited) for v, slug in enumerate(slugs))
     arcs = sorted((slugs[s], slugs[t], w) for s, t, w in g.arcs())
     return nodes, arcs

@@ -12,12 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lexnet.communities import CnmMerge, CnmTrace
-from lexnet.errors import (
-    BadLatticeDegreeError,
-    EmptyGraphError,
-    TooFewEdgesError,
-    TooManyEdgesError,
-)
+from lexnet.errors import DegenerateGraphError, LexnetError, TooFewEdgesError
 from lexnet.extraction import _APOSTROPHES, _LIGATURES
 from lexnet.graph import DiGraph, UGraph
 
@@ -201,25 +196,23 @@ def reference_bfs(adj, source: int) -> tuple[list[int], list[int]]:
     return order, dist
 
 
-def reference_average_path_length(ug: UGraph) -> tuple[float, float]:
+def reference_average_path_length(ug: UGraph) -> float:
     """Average path length by one breadth-first search per source.
 
     Same conventions as the implementation under test (largest component,
-    ties to the smallest node id; reachable fraction over all pairs) but
-    finds components and distances on its own.
+    ties to the smallest node id) but finds components and distances on
+    its own.
     """
     n = ug.node_count
     adj = ug.adjacency()
     dists = [reference_bfs(adj, s)[1] for s in range(n)]
     components = {frozenset(v for v, d in enumerate(row) if d >= 0) for row in dists}
     largest = max(components, key=lambda c: (len(c), -min(c)))
-    reachable_pairs = sum(len(c) * (len(c) - 1) // 2 for c in components)
-    fraction = reachable_pairs / (n * (n - 1) // 2)
     if len(largest) < 2:
-        return 0.0, fraction
+        return 0.0
     total = sum(d for s in largest for d in dists[s] if d > 0)
     pairs = len(largest) * (len(largest) - 1) // 2
-    return total / 2 / pairs, fraction
+    return total / 2 / pairs
 
 
 def reference_harmonic_closeness(ug: UGraph) -> list[float]:
@@ -276,7 +269,7 @@ def reference_erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
     """Uniform simple graph with exactly n nodes and m edges."""
     max_edges = n * (n - 1) // 2
     if m > max_edges:
-        raise TooManyEdgesError(f"m={m} exceeds the simple-graph maximum {max_edges}")
+        raise LexnetError(f"m={m} exceeds the simple-graph maximum {max_edges}")
     if m < 0:
         raise ValueError("m must be non-negative")
     rng = random.Random(seed)
@@ -308,7 +301,7 @@ def reference_watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph
     such target exists the edge is left in place.
     """
     if k_even % 2 != 0 or k_even < 2 or k_even >= n:
-        raise BadLatticeDegreeError(f"lattice degree must be even and in 2..n-1, got {k_even}")
+        raise LexnetError(f"lattice degree must be even and in 2..n-1, got {k_even}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = random.Random(seed)
@@ -432,7 +425,7 @@ def reference_cnm_trace(ug: UGraph) -> CnmTrace:
     """
     m = ug.edge_count
     if m == 0:
-        raise EmptyGraphError("community detection needs at least one edge")
+        raise DegenerateGraphError("community detection needs at least one edge")
     n = ug.node_count
     inv_m = 1.0 / m
     inv_2m2 = 1.0 / (2.0 * m * m)

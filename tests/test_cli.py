@@ -679,32 +679,13 @@ class TestWriteFailures:
 # The exit code each error class carries, and so the code run() returns.
 _EXIT_CODES = {
     "LexnetError": 3,
-    "EmptyNodeSetError": 3,
-    "DuplicateLabelError": 3,
-    "SelfLoopError": 3,
-    "UnknownNodeError": 3,
+    "ConfigError": 2,
     "DegenerateGraphError": 4,
-    "BadKError": 3,
     "UndefinedCoefficientError": 3,
     "NullModelDegenerateError": 3,
-    "EmptyGraphError": 4,
-    "PartialAssignmentError": 3,
-    "TooLargeError": 3,
-    "TooManyEdgesError": 3,
-    "BadLatticeDegreeError": 3,
     "TooFewEdgesError": 3,
-    "InvalidEncodingError": 3,
-    "MalformedRegistryError": 3,
-    "AmbiguousAliasError": 3,
-    "DuplicateSlugError": 3,
-    "UnknownDocumentSlugError": 3,
-    "DuplicateDocumentError": 3,
     "MalformedLineError": 3,
-    "SelfLoopLineError": 3,
-    "EmptyInputError": 3,
     "SchemaViolationError": 3,
-    "InconsistentInputsError": 3,
-    "ConfigError": 2,
 }
 
 
@@ -788,14 +769,23 @@ def test_each_command_imports_what_it_runs(command, loads_analysis, extracted, f
     assert not {"hashlib", "_hashlib"} & loaded
 
 
-@pytest.mark.parametrize(("argv", "code"), [(["frobnicate"], 2), (["fixture", "--out-dir", "fx"], 0)])
-def test_script_entry_point_exits_with_the_run_code(argv, code, tmp_path, monkeypatch):
+@pytest.mark.parametrize(("argv", "code"), [
+    (["frobnicate"], 2),
+    (["fixture", "--out-dir", "fx"], 0),
+    (["analyze", "--edges", "missing.tsv"], 3),
+    (["analyze", "--edges", "two.tsv"], 4),
+])
+def test_script_entry_point_exits_with_the_run_code(argv, code, tmp_path, monkeypatch, capsys):
     # main is what the installed `lexnet` script calls
+    (tmp_path / "two.tsv").write_text("a\tb\t1\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["lexnet", *argv])
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == code
+    if code in (3, 4):
+        err = capsys.readouterr().err
+        assert err.startswith("lexnet: ") and len(err.splitlines()) == 1
 
 
 def test_readme_configuration_table_matches_pipeline_config():

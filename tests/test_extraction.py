@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexnet.errors import (
-    AmbiguousAliasError,
-    DuplicateDocumentError,
-    DuplicateSlugError,
-    MalformedRegistryError,
-    UnknownDocumentSlugError,
-)
+from lexnet.errors import LexnetError
 from lexnet.extraction import (
     CodeDocument,
     CodeRegistry,
@@ -109,16 +103,16 @@ class TestLoadRegistry:
 
     def test_ambiguous_alias(self):
         text = "a\tCode A\tcode general\nb\tCode B\tcode general\n"
-        with pytest.raises(AmbiguousAliasError):
+        with pytest.raises(LexnetError, match="alias 'code general' claimed by both 'a' and 'b'"):
             load_registry(text)
 
     def test_duplicate_slug(self):
         text = "a\tCode A\tcode a\na\tCode A bis\tcode a bis\n"
-        with pytest.raises(DuplicateSlugError):
+        with pytest.raises(LexnetError, match="slug 'a' appears twice"):
             load_registry(text)
 
     def test_malformed_line(self):
-        with pytest.raises(MalformedRegistryError):
+        with pytest.raises(LexnetError, match="line 1: expected 3 tab-separated fields, got 1"):
             load_registry("just one field\n")
 
     def test_single_entry_registry_yields_empty_edges(self):
@@ -174,7 +168,7 @@ class TestFindCitations:
         ]
 
     def test_unknown_document_slug(self, registry):
-        with pytest.raises(UnknownDocumentSlugError):
+        with pytest.raises(LexnetError, match="document slug 'nope' not in registry"):
             find_citations(CodeDocument("nope", "text"), registry)
 
     def test_self_match_consumes_span(self):
@@ -205,7 +199,7 @@ class TestBuildEdgeList:
 
     def test_duplicate_document(self, registry):
         docs = [CodeDocument("civil", "x"), CodeDocument("civil", "y")]
-        with pytest.raises(DuplicateDocumentError):
+        with pytest.raises(LexnetError, match="two documents for slug 'civil'"):
             build_edge_list(docs, registry)
 
     def test_fixture_corpus_structure(self, fixture_graph):

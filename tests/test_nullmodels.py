@@ -1,4 +1,4 @@
-"""Random-graph generators, degree-preserving rewiring, assessment rule."""
+"""Random-graph generators, degree-preserving rewiring, cohesion, assessment rule."""
 
 import random
 import tracemalloc
@@ -7,27 +7,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lexnet.config import PipelineConfig
 from lexnet.errors import (
-    BadLatticeDegreeError,
     DegenerateGraphError,
-    EmptyNodeSetError,
+    LexnetError,
+    NullModelDegenerateError,
     TooFewEdgesError,
-    TooManyEdgesError,
+    UndefinedCoefficientError,
 )
-from lexnet.metrics import global_clustering, rich_club_members
+from lexnet.metrics import global_clustering, normalized_rich_club, rich_club_members
 from lexnet.nullmodels import (
+    club_cohesion,
     degree_preserving_rewire,
     er_baseline,
     erdos_renyi_gnm,
     watts_strogatz,
     ws_baseline,
 )
+from lexnet.pipeline import build_sections
 from lexnet.seeding import derive_seed
 
 from conftest import (
     assess,
     degree_multiset,
     digraph_from_ugraph,
+    make_digraph,
     make_ugraph,
     random_ugraph,
     reference_erdos_renyi_gnm,
@@ -71,7 +75,7 @@ class TestErdosRenyi:
             assert erdos_renyi_gnm(12, 17, seed).edge_count == 17
 
     def test_too_many_edges(self):
-        with pytest.raises(TooManyEdgesError):
+        with pytest.raises(LexnetError, match="m=7 exceeds the simple-graph maximum 6"):
             erdos_renyi_gnm(4, 7, seed=0)
 
 
@@ -90,9 +94,9 @@ class TestWattsStrogatz:
         assert global_clustering(ug) == 0.0
 
     def test_bad_lattice_degree(self):
-        with pytest.raises(BadLatticeDegreeError):
+        with pytest.raises(LexnetError, match="lattice degree must be even and in 2..n-1, got 3"):
             watts_strogatz(10, 3, 0.1, seed=0)
-        with pytest.raises(BadLatticeDegreeError):
+        with pytest.raises(LexnetError, match="lattice degree must be even and in 2..n-1, got 10"):
             watts_strogatz(10, 10, 0.1, seed=0)
 
     def test_deterministic(self):
@@ -188,6 +192,20 @@ class TestInlinedDraw:
         assert ours.getstate() == theirs.getstate()
 
 
+# (model, args, error class, message pattern) for test_same_errors
+_SAME_ERRORS = [
+    ("er", (0, 0, 1), LexnetError, "a graph needs at least one node"),
+    ("er", (-1, 1, 1), LexnetError, "a graph needs at least one node"),
+    ("er", (4, 7, 1), LexnetError, "exceeds the simple-graph maximum"),
+    ("er", (5, -1, 1), ValueError, "m must be non-negative"),
+    ("ws", (10, 3, 0.1, 1), LexnetError, "lattice degree must be even"),
+    ("ws", (10, 10, 0.1, 1), LexnetError, "lattice degree must be even"),
+    ("ws", (10, 4, 1.5, 1), ValueError, "p must be in"),
+    ("rewire", (make_ugraph("ab", [("a", "b")]), 10, 1), TooFewEdgesError,
+     "rewiring needs at least 2 edges"),
+]
+
+
 class TestAgainstReferences:
     """Each generator gives the graph its randrange-based reference gives."""
 
@@ -240,25 +258,19 @@ class TestAgainstReferences:
         _same_graph(watts_strogatz(n, k, p, seed), reference_watts_strogatz(n, k, p, seed))
 
     @pytest.mark.parametrize(
-        ("model", "args", "error"),
-        [
-            ("er", (0, 0, 1), EmptyNodeSetError),
-            ("er", (-1, 1, 1), EmptyNodeSetError),
-            ("er", (4, 7, 1), TooManyEdgesError),
-            ("er", (5, -1, 1), ValueError),
-            ("ws", (10, 3, 0.1, 1), BadLatticeDegreeError),
-            ("ws", (10, 10, 0.1, 1), BadLatticeDegreeError),
-            ("ws", (10, 4, 1.5, 1), ValueError),
-            ("rewire", (make_ugraph("ab", [("a", "b")]), 10, 1), TooFewEdgesError),
-        ],
+        ("model", "args", "error", "message"),
+        _SAME_ERRORS,
+        # the ids pytest would form from the first three columns
+        ids=[f"{model}-args{i}-{error.__name__}"
+             for i, (model, _, error, _) in enumerate(_SAME_ERRORS)],
     )
-    def test_same_errors(self, model, args, error):
+    def test_same_errors(self, model, args, error, message):
         library = {"er": erdos_renyi_gnm, "ws": watts_strogatz, "rewire": degree_preserving_rewire}
         reference = {"er": reference_erdos_renyi_gnm, "ws": reference_watts_strogatz,
                      "rewire": reference_rewire}
-        with pytest.raises(error) as want:
+        with pytest.raises(error, match=message) as want:
             reference[model](*args)
-        with pytest.raises(error) as got:
+        with pytest.raises(error, match=message) as got:
             library[model](*args)
         assert str(got.value) == str(want.value)
 
@@ -322,3 +334,36 @@ class TestAssessment:
         club = rich_club_members(fixture_graph, 5, 6)
         result = assess(fixture_graph, club, samples=10, seed=3, degree_fraction=0.99)
         assert result.verdict != "concentrated_world"
+
+
+# One hand-built graph per error that club_cohesion treats as "cohesion not
+# validated": (slugs, arcs, k_citing, k_cited, k of the club).
+_COHESION_FALLBACKS = {
+    # a and d, the only nodes of degree 2, are adjacent (phi(1) = 1) but not
+    # in the one rewired sample, so the null mean of phi(1) is zero
+    NullModelDegenerateError: (
+        "abcdefg", [("a", "b"), ("a", "d"), ("c", "g"), ("d", "e")], 1, 1, 1,
+    ),
+    # the hub h is the only node of degree > 1, so phi(1) is undefined
+    UndefinedCoefficientError: ("habc", [("h", "a"), ("h", "b"), ("h", "c")], 1, 1, 1),
+    # the isolated member a puts k at 0; phi(0) is defined, but one edge
+    # cannot be rewired
+    TooFewEdgesError: ("abc", [("b", "c")], 1, 2, 0),
+}
+
+
+@pytest.mark.parametrize("error", list(_COHESION_FALLBACKS), ids=lambda error: error.__name__)
+def test_cohesion_fallback_reports_not_validated(error):
+    slugs, arcs, k_citing, k_cited, k = _COHESION_FALLBACKS[error]
+    g = make_digraph(slugs, arcs)
+    config = PipelineConfig(k_citing=k_citing, k_cited=k_cited, null_samples=1)
+    ug = g.undirected_projection()
+    # the same call club_cohesion makes raises the error it falls back on
+    with pytest.raises(error):
+        normalized_rich_club(ug, k, 1, derive_seed(config.seed, "phi-norm"),
+                             config.rewire_budget_factor)
+    club = rich_club_members(g, k_citing, k_cited)
+    assert club_cohesion(g, ug, club, config) == (False, k, None)
+    section = build_sections(g, config, ["rich_club"])["rich_club"]
+    assert section["phi_normalized"] is None
+    assert section["cohesion_validated"] is False

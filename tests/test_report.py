@@ -8,13 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lexnet.errors import (
-    EmptyInputError,
-    InconsistentInputsError,
-    MalformedLineError,
-    SchemaViolationError,
-    SelfLoopLineError,
-)
+from lexnet.errors import LexnetError, MalformedLineError, SchemaViolationError
 from lexnet.config import PipelineConfig
 from lexnet.extraction import CodeDocument, build_edge_list, load_registry
 from lexnet.fixture import fixture_corpus, fixture_registry_text
@@ -47,8 +41,9 @@ class TestParseEdgeList:
         assert g.weight(g.id_of("b"), g.id_of("a")) == 2
 
     def test_self_loop_line(self):
-        with pytest.raises(SelfLoopLineError):
+        with pytest.raises(MalformedLineError, match="line 1: self-citation on 'a'") as exc:
             parse_edge_list("a\ta\t1\n")
+        assert exc.value.lineno == 1
 
     def test_sidecar_preserves_isolated(self):
         slugs = [f"c{i:02d}" for i in range(52)]
@@ -71,7 +66,7 @@ class TestParseEdgeList:
             parse_edge_list("a\tb\t0\n")
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(LexnetError, match="no nodes in edge list or sidecar"):
             parse_edge_list("")
 
     def test_duplicate_records_summed_with_warning(self):
@@ -132,23 +127,22 @@ class TestWriteDot:
     @pytest.mark.parametrize("write", [write_dot, write_graphml])
     def test_inconsistent_roles(self, write, annotated_graph):
         g, roles, club, communities = annotated_graph
-        with pytest.raises(InconsistentInputsError, match=r"roles missing for \['alpha', 'beta'"):
+        with pytest.raises(LexnetError, match=r"roles missing for \['alpha', 'beta'"):
             write(g, {"hub": "ordinary"}, club, communities)
-        with pytest.raises(InconsistentInputsError, match=r"roles for unknown slugs \['nope'\]"):
+        with pytest.raises(LexnetError, match=r"roles for unknown slugs \['nope'\]"):
             write(g, {**roles, "nope": "ordinary"}, club, communities)
 
     @pytest.mark.parametrize("write", [write_dot, write_graphml])
     def test_unknown_club_slug(self, write, annotated_graph):
         g, roles, _, _ = annotated_graph
         for club in ({"top_citing": ["nope"], "top_cited": []}, {"top_cited": ["hub", "nope"]}):
-            with pytest.raises(InconsistentInputsError, match="rich-club slug 'nope' not in graph"):
+            with pytest.raises(LexnetError, match="rich-club slug 'nope' not in graph"):
                 write(g, roles, club, None)
 
     @pytest.mark.parametrize("write", [write_dot, write_graphml])
     def test_unknown_community_slug(self, write, annotated_graph):
         g, roles, club, communities = annotated_graph
-        with pytest.raises(InconsistentInputsError,
-                           match=r"communities for unknown slugs \['nope'\]"):
+        with pytest.raises(LexnetError, match=r"communities for unknown slugs \['nope'\]"):
             write(g, roles, club, {**communities, "nope": 2})
 
 
