@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 # loads no submodule and the CLI compiles only what a command runs.
 _SOURCES = {
     **dict.fromkeys(
-        ("CommunityReport", "Partition", "brute_force_best_partition", "cnm_communities",
-         "modularity", "reduced_network_partition"),
+        ("CommunityReport", "Partition", "cnm_communities", "modularity",
+         "reduced_network_partition"),
         "communities",
     ),
     **dict.fromkeys(

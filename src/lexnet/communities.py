@@ -18,7 +18,7 @@ Isolated vertices never join a merge and stay singleton communities.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateGraphError, LexnetError
 from .graph import DiGraph, UGraph
@@ -245,62 +245,6 @@ def cnm_communities(ug: UGraph) -> Partition:
     return Partition(assignment, modularity(ug, assignment))
 
 
-# -- exhaustive oracle ----------------------------------------------------------
-
-
-def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All set partitions of 0..n-1 as canonical strings, in lexicographic order."""
-    if n == 0:
-        return
-    a = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, mx if v <= mx else v)
-
-    yield from rec(1, 0)
-
-
-def brute_force_best_partition(ug: UGraph) -> tuple[tuple[int, ...], float]:
-    """Exhaustive modularity maximum over all set partitions (n <= 12).
-
-    On ties the lexicographically smallest restricted-growth string wins,
-    so the representative is deterministic.
-    """
-    n = ug.node_count
-    if n > 12:
-        raise LexnetError(f"exhaustive search is guarded at 12 nodes, got {n}")
-    m = ug.edge_count
-    if m == 0:
-        raise DegenerateGraphError("modularity is undefined without edges")
-    deg = [ug.degree(v) for v in range(n)]
-    edges = list(ug.edges())
-    two_m = 2.0 * m
-    best_q = -float("inf")
-    best: tuple[int, ...] | None = None
-    for rgs in restricted_growth_strings(n):
-        c = max(rgs) + 1
-        internal = [0] * c
-        degree_sum = [0] * c
-        for v in range(n):
-            degree_sum[rgs[v]] += deg[v]
-        for u, v in edges:
-            if rgs[u] == rgs[v]:
-                internal[rgs[u]] += 1
-        q = 0.0
-        for i in range(c):
-            q += internal[i] / m - (degree_sum[i] / two_m) ** 2
-        if q > best_q:
-            best_q = q
-            best = rgs
-    assert best is not None
-    return best, best_q
-
-
 # -- the reduced-network workflow ------------------------------------------------
 
 
@@ -336,7 +280,7 @@ def reduced_network_partition(
     club = set(rich_club)
     if club.issuperset(g.node_ids()):
         raise DegenerateGraphError("community detection needs at least one edge")
-    reduced, _ = g.remove_nodes(club)
+    reduced = g.remove_nodes(club)
     ug = reduced.undirected_projection()
     partition = cnm_communities(ug)
     slugs = reduced.slugs

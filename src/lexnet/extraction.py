@@ -125,10 +125,9 @@ class CodeRegistry:
     """The universe of codes and the surface forms that denote them."""
 
     def __init__(self, entries: Sequence[RegistryEntry]):
-        self.entries = tuple(entries)
         self._alias_to_slug: dict[str, str] = {}
         slugs = set()
-        for entry in self.entries:
+        for entry in entries:
             if entry.slug in slugs:
                 raise LexnetError(f"slug {entry.slug!r} appears twice")
             slugs.add(entry.slug)
@@ -149,9 +148,6 @@ class CodeRegistry:
             if self._alias_to_slug
             else None
         )
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __contains__(self, slug: str) -> bool:
         return slug in self._slugs

@@ -140,16 +140,6 @@ class DiGraph:
             self._pred[target].add(source)
             self._arc_count += 1
 
-    def has_arc(self, source: NodeId, target: NodeId) -> bool:
-        self._check(source)
-        self._check(target)
-        return target in self._succ[source]
-
-    def weight(self, source: NodeId, target: NodeId) -> int:
-        self._check(source)
-        self._check(target)
-        return self._succ[source].get(target, 0)
-
     def out_degree(self, v: NodeId) -> int:
         """Number of distinct codes cited by v."""
         self._check(v)
@@ -169,11 +159,11 @@ class DiGraph:
 
     # -- derived graphs -------------------------------------------------------
 
-    def remove_nodes(self, victims: Iterable[NodeId]) -> tuple["DiGraph", dict[int, int]]:
+    def remove_nodes(self, victims: Iterable[NodeId]) -> "DiGraph":
         """Drop the victim nodes and every arc touching them.
 
-        Returns the reduced graph (ids re-densified, slugs kept)
-        plus the old->new id mapping for the surviving nodes.
+        The reduced graph keeps the survivors' slugs and order, with ids
+        re-densified.
         """
         victim_set = set(victims)
         for v in victim_set:
@@ -187,7 +177,7 @@ class DiGraph:
             for t, w in succ.items():
                 if t in mapping:
                     reduced.add_edge(ns, mapping[t], w)
-        return reduced, mapping
+        return reduced
 
     def undirected_projection(self) -> "UGraph":
         """Forget direction and weight: {u,v} present iff u->v or v->u.
@@ -254,27 +244,9 @@ class UGraph:
             self._adj[v].add(u)
             self._edge_count += 1
 
-    def remove_edge(self, u: NodeId, v: NodeId) -> None:
-        self._check(u)
-        self._check(v)
-        if v not in self._adj[u]:
-            raise LexnetError(f"no edge {{{u},{v}}}")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._edge_count -= 1
-
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        self._check(u)
-        self._check(v)
-        return v in self._adj[u]
-
     def degree(self, v: NodeId) -> int:
         self._check(v)
         return len(self._adj[v])
-
-    def neighbors(self, v: NodeId) -> tuple[int, ...]:
-        self._check(v)
-        return tuple(sorted(self._adj[v]))
 
     def adjacency(self) -> list[set[int]]:
         """Snapshot of the adjacency structure (one set per node)."""

@@ -235,9 +235,6 @@ def ws_baseline(n: int, k_even: int, p: float, samples: int, seed: int) -> NullM
 # -- assessment ----------------------------------------------------------------------
 
 
-VERDICTS = ("concentrated_world", "small_world_like", "sparse_random_like", "inconclusive")
-
-
 class Assessment(NamedTuple):
     """Observed statistics against ER and WS baselines, plus the verdict."""
 

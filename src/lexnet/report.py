@@ -31,7 +31,8 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
 
     The sidecar (one slug per line) declares nodes that may not appear in
     any record, which is the only way isolated vertices survive the
-    round trip. Duplicate records are summed with a warning; self-citation
+    round trip. Lines starting with ``#`` are comments, so no slug may start
+    with ``#``. Duplicate records are summed with a warning; self-citation
     lines are rejected.
     """
     records: list[tuple[str, str, int, int]] = []
@@ -46,6 +47,9 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
         citing, cited, count_text = (f.strip() for f in fields)
         if not citing or not cited:
             raise MalformedLineError(lineno, "empty slug")
+        if cited.startswith("#"):
+            # its own records would read as comments and vanish
+            raise MalformedLineError(lineno, f"slug {cited!r} starts with '#'")
         try:
             count = int(count_text)
         except ValueError:

@@ -7,6 +7,7 @@ import random
 import unicodedata
 from collections import deque
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -48,6 +49,11 @@ def make_ugraph(slugs, edges):
     for u, v in edges:
         ug.add_edge(index[u] if isinstance(u, str) else u, index[v] if isinstance(v, str) else v)
     return ug
+
+
+def weights_by_slug(g: DiGraph) -> dict[tuple[str, str], int]:
+    """The citation count of every arc, keyed by (citing slug, cited slug)."""
+    return {(g.slug(s), g.slug(t)): w for s, t, w in g.arcs()}
 
 
 def digraph_from_ugraph(ug: UGraph) -> DiGraph:
@@ -111,9 +117,10 @@ def brute_force_betweenness(ug: UGraph) -> list[float]:
     implementation under test but shares no code with it.
     """
     n = ug.node_count
+    adj = [sorted(nbrs) for nbrs in ug.adjacency()]
     acc = [0.0] * n
     for s, t in combinations(range(n), 2):
-        paths = _all_simple_paths(ug, s, t)
+        paths = _all_simple_paths(adj, s, t)
         if not paths:
             continue
         shortest = min(len(p) for p in paths)
@@ -129,7 +136,7 @@ def brute_force_betweenness(ug: UGraph) -> list[float]:
     return [a / norm for a in acc]
 
 
-def _all_simple_paths(ug: UGraph, s: int, t: int) -> list[tuple[int, ...]]:
+def _all_simple_paths(adj, s: int, t: int) -> list[tuple[int, ...]]:
     paths = []
     stack = [(s, (s,))]
     while stack:
@@ -137,7 +144,7 @@ def _all_simple_paths(ug: UGraph, s: int, t: int) -> list[tuple[int, ...]]:
         if v == t:
             paths.append(path)
             continue
-        for w in ug.neighbors(v):
+        for w in adj[v]:
             if w not in path:
                 stack.append((w, path + (w,)))
     return paths
@@ -251,18 +258,73 @@ def union_find_components(ug: UGraph) -> set[frozenset[int]]:
 
 def brute_force_phi(ug: UGraph, k: int) -> float | None:
     """Rich-club coefficient by direct recount of the induced subgraph."""
-    rich = [v for v in ug.node_ids() if len(ug.neighbors(v)) > k]
+    adj = ug.adjacency()
+    rich = [v for v in ug.node_ids() if len(adj[v]) > k]
     if len(rich) < 2:
         return None
-    internal = sum(1 for u, v in combinations(rich, 2) if ug.has_edge(u, v))
+    internal = sum(1 for u, v in combinations(rich, 2) if v in adj[u])
     possible = len(rich) * (len(rich) - 1) // 2
     return internal / possible
 
 
+def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """All set partitions of 0..n-1 as canonical strings, in lexicographic order."""
+    if n == 0:
+        return
+    a = [0] * n
+
+    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(a)
+            return
+        for v in range(mx + 2):
+            a[i] = v
+            yield from rec(i + 1, mx if v <= mx else v)
+
+    yield from rec(1, 0)
+
+
+def brute_force_best_partition(ug: UGraph) -> tuple[tuple[int, ...], float]:
+    """Exhaustive modularity maximum over all set partitions (n <= 12).
+
+    On ties the lexicographically smallest restricted-growth string wins,
+    so the representative is deterministic.
+    """
+    n = ug.node_count
+    if n > 12:
+        raise LexnetError(f"exhaustive search is guarded at 12 nodes, got {n}")
+    m = ug.edge_count
+    if m == 0:
+        raise DegenerateGraphError("modularity is undefined without edges")
+    deg = [ug.degree(v) for v in range(n)]
+    edges = list(ug.edges())
+    two_m = 2.0 * m
+    best_q = -float("inf")
+    best: tuple[int, ...] | None = None
+    for rgs in restricted_growth_strings(n):
+        c = max(rgs) + 1
+        internal = [0] * c
+        degree_sum = [0] * c
+        for v in range(n):
+            degree_sum[rgs[v]] += deg[v]
+        for u, v in edges:
+            if rgs[u] == rgs[v]:
+                internal[rgs[u]] += 1
+        q = 0.0
+        for i in range(c):
+            q += internal[i] / m - (degree_sum[i] / two_m) ** 2
+        if q > best_q:
+            best_q = q
+            best = rgs
+    assert best is not None
+    return best, best_q
+
+
 # -- reference generators --------------------------------------------------------
 # The null-model generators as they were before their random draws were
-# inlined, kept verbatim: the library versions must make the same draws
-# and so give edge-for-edge equal graphs.
+# inlined, kept verbatim but for edge tests on a local adjacency: the
+# library versions must make the same draws and so give edge-for-edge
+# equal graphs.
 
 
 def reference_erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
@@ -282,12 +344,15 @@ def reference_erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
         for u, v in rng.sample(pairs, m):
             ug.add_edge(u, v)
         return ug
+    adj = [set() for _ in range(n)]
     added = 0
     while added < m:
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v or ug.has_edge(u, v):
+        if u == v or v in adj[u]:
             continue
+        adj[u].add(v)
+        adj[v].add(u)
         ug.add_edge(u, v)
         added += 1
     return ug
@@ -305,24 +370,32 @@ def reference_watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = random.Random(seed)
-    ug = UGraph(n)
+    adj = [set() for _ in range(n)]
     half = k_even // 2
     for j in range(1, half + 1):
         for i in range(n):
-            ug.add_edge(i, (i + j) % n)
+            adj[i].add((i + j) % n)
+            adj[(i + j) % n].add(i)
     for j in range(1, half + 1):
         for i in range(n):
             if rng.random() >= p:
                 continue
             old = (i + j) % n
-            if ug.degree(i) >= n - 1:
+            if len(adj[i]) >= n - 1:
                 continue  # i is joined to everything else already
             while True:
                 w = rng.randrange(n)
-                if w != i and not ug.has_edge(i, w):
+                if w != i and w not in adj[i]:
                     break
-            ug.remove_edge(i, old)
-            ug.add_edge(i, w)
+            adj[i].discard(old)
+            adj[old].discard(i)
+            adj[i].add(w)
+            adj[w].add(i)
+    ug = UGraph(n)
+    for u in range(n):
+        for v in adj[u]:
+            if u < v:
+                ug.add_edge(u, v)
     return ug
 
 

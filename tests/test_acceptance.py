@@ -12,7 +12,6 @@ import pytest
 
 from lexnet.communities import (
     assignment_after,
-    brute_force_best_partition,
     cnm_communities,
     cnm_trace,
     modularity,
@@ -38,6 +37,7 @@ from lexnet.cli import run
 
 from conftest import (
     assess,
+    brute_force_best_partition,
     brute_force_betweenness,
     brute_force_phi,
     degree_multiset,

@@ -25,7 +25,7 @@ from lexnet.cli import main, run
 from lexnet.config import PipelineConfig
 from lexnet.errors import LexnetError
 from lexnet.graph import DiGraph
-from lexnet.report import read_report
+from lexnet.report import parse_edge_list, read_report
 
 from conftest import REPORT_DEFECTS, corrupt
 
@@ -344,6 +344,12 @@ class TestExitCodes:
         bad.write_text("a\ta\t1\n", encoding="utf-8")
         assert run(["analyze", "--edges", str(bad)]) == 3
 
+    def test_slug_starting_with_hash(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("x\t#a\t1\n#a\tx\t1\ny\tx\t1\n", encoding="utf-8")
+        assert run(["analyze", "--edges", str(bad)]) == 3
+        assert capsys.readouterr().err == "lexnet: line 1: slug '#a' starts with '#'\n"
+
     def test_missing_file(self, tmp_path):
         assert run(["analyze", "--edges", str(tmp_path / "nope.tsv")]) == 3
 
@@ -608,6 +614,112 @@ def test_seeded_inputs_give_a_report_or_a_documented_exit():
             _run_cli_case(inputs)
         except AssertionError as exc:
             raise AssertionError(f"seed {seed}: {inputs!r}") from exc
+
+
+# Registries and corpora for the seeded extract fuzz below. A clean case
+# has 2-6 entries whose aliases end in a letter of their own, so no two
+# entries share an alias, and documents that mention them. A case then
+# takes up to two defects, each breaking the registry or the corpus in
+# one way, except a leading byte-order mark, which must change nothing.
+# Two cases in five take none, so that many runs succeed and reach the
+# edge-list check.
+_EXTRACT_WORDS = ["code", "civil", "rural", "pénal", "du", "travail", "œuvre", "l'État"]
+_EXTRACT_DEFECTS = ["field_count", "empty_field", "empty_alias", "shared_alias", "duplicate_slug",
+                    "unknown_stem", "bom", "invalid_utf8", "directory"]
+SEEDED_EXTRACT_CASES = 200
+
+
+def _seeded_extract_case(seed: int):
+    """Registry bytes and corpus files (name -> bytes, None for a directory)."""
+    rng = random.Random(seed)
+    size = rng.randint(2, 6)
+    slugs: list[str] = []
+    while len(slugs) < size:
+        slug = rng.choice(_SLUG_HEADS) + "".join(rng.choices("ab\"é#&'", k=rng.randint(0, 3)))
+        if slug not in slugs:
+            slugs.append(slug)
+    aliases = {
+        slug: [f"{' '.join(rng.choices(_EXTRACT_WORDS, k=rng.randint(1, 2)))} {chr(97 + i)}"
+               for _ in range(rng.randint(1, 2))]
+        for i, slug in enumerate(slugs)
+    }
+    lines = [f"{slug}\tName {i}\t{'|'.join(aliases[slug])}" for i, slug in enumerate(slugs)]
+    if rng.randint(0, 1):
+        lines.insert(0, "# slug\tname\taliases")
+    corpus: dict[str, bytes | None] = {}
+    for slug in rng.sample(slugs, rng.randint(0, len(slugs))):
+        words = rng.choices(_EXTRACT_WORDS + [a.upper() for s in slugs for a in aliases[s]],
+                            k=rng.randint(0, 12))
+        corpus[f"{slug}.txt"] = " ".join(words).encode("utf-8")
+    defects = rng.sample(_EXTRACT_DEFECTS, rng.choice([0, 0, 1, 1, 2]))
+    first = slugs[0]
+    mark = ""
+    for defect in defects:
+        if defect == "field_count":
+            lines.append(rng.choice(["x\tX", "x\tX\tx\textra", "x"]))
+        elif defect == "empty_field":
+            lines.append(rng.choice(["\tX\tx", "x\t\tx", "x\tX\t "]))
+        elif defect == "empty_alias":
+            blank = rng.choice([" ", "\u0301"])
+            lines.append(f"x\tX\t{blank}" if rng.randint(0, 1) else f"x\tX\tx|{blank}")
+        elif defect == "shared_alias":
+            lines.append(f"x\tX\t{aliases[first][0].upper()}")
+        elif defect == "duplicate_slug":
+            lines.append(f"{first}\tAgain\tagain")
+        elif defect == "unknown_stem":
+            corpus["zz.txt"] = aliases[first][0].encode("utf-8")
+        elif defect == "bom":
+            if corpus and rng.randint(0, 1):
+                name = rng.choice(sorted(corpus))
+                corpus[name] = "\ufeff".encode("utf-8") + corpus[name]
+            else:
+                mark = "\ufeff"
+        elif defect == "invalid_utf8":
+            corpus[f"{rng.choice(slugs)}.txt"] = b"code \xff\xfe civil"
+        else:
+            corpus[f"{rng.choice(slugs + ['x'])}.txt"] = None
+    rng.shuffle(lines)
+    return (mark + "".join(line + "\n" for line in lines)).encode("utf-8"), corpus
+
+
+def _run_extract_case(case) -> int:
+    """Run extract; assert it exits 0 silently with loadable outputs, or 3 with one line."""
+    registry, corpus = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "registry.tsv").write_bytes(registry)
+        (root / "corpus").mkdir()
+        for name, data in corpus.items():
+            if data is None:
+                (root / "corpus" / name).mkdir()
+            else:
+                (root / "corpus" / name).write_bytes(data)
+        edges, nodes = root / "edges.tsv", root / "nodes.txt"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(["extract", "--corpus", str(root / "corpus"), "--registry",
+                      str(root / "registry.tsv"), "--out", str(edges), "--nodes-out", str(nodes)])
+        if rc:
+            assert rc == 3
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not edges.exists() and not nodes.exists()
+        else:
+            assert err.getvalue() == ""
+            nodes_text = nodes.read_text(encoding="utf-8")
+            graph = parse_edge_list(edges.read_text(encoding="utf-8"), nodes_text)
+            assert list(graph.slugs) == nodes_text.splitlines()
+    return rc
+
+
+def test_seeded_extract_inputs_exit_0_or_3_with_one_line():
+    codes = []
+    for seed in range(SEEDED_EXTRACT_CASES):
+        case = _seeded_extract_case(seed)
+        try:
+            codes.append(_run_extract_case(case))
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}: {case!r}") from exc
+    assert codes.count(0) >= SEEDED_EXTRACT_CASES // 4
 
 
 class TestWriteFailures:

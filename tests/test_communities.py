@@ -11,19 +11,25 @@ from lexnet import communities
 
 from lexnet.communities import (
     assignment_after,
-    brute_force_best_partition,
     cnm_communities,
     cnm_trace,
     modularity,
     reduced_network_partition,
-    restricted_growth_strings,
 )
 from lexnet.errors import DegenerateGraphError, LexnetError
 from lexnet.graph import UGraph
 from lexnet.metrics import rich_club_members
 from lexnet.nullmodels import erdos_renyi_gnm, watts_strogatz
 
-from conftest import make_digraph, make_ugraph, random_ugraph, reference_cnm_trace, ugraphs
+from conftest import (
+    brute_force_best_partition,
+    make_digraph,
+    make_ugraph,
+    random_ugraph,
+    reference_cnm_trace,
+    restricted_growth_strings,
+    ugraphs,
+)
 
 
 def two_disjoint_triangles():

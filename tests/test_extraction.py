@@ -99,7 +99,7 @@ class TestLoadRegistry:
         from lexnet.fixture import fixture_registry_text
 
         registry = load_registry(fixture_registry_text())
-        assert len(registry) == 52
+        assert len(registry.slugs()) == 52
 
     def test_ambiguous_alias(self):
         text = "a\tCode A\tcode general\nb\tCode B\tcode general\n"
@@ -319,6 +319,6 @@ class TestScanOracle:
 
     def test_empty_registry(self):
         registry = CodeRegistry([])
-        assert len(registry) == 0
+        assert len(registry.slugs()) == 0
         assert _scan_spans(registry, "code civil et code penal") == []
         assert load_registry("# nothing here\n").slugs() == []

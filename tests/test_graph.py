@@ -50,7 +50,7 @@ class TestAddEdge:
         g = DiGraph(["a", "b"])
         g.add_edge(0, 1, 1)
         g.add_edge(0, 1, 2)
-        assert g.weight(0, 1) == 3
+        assert list(g.arcs()) == [(0, 1, 3)]
         assert g.arc_count == 1
 
     def test_self_loop_rejected(self):
@@ -104,22 +104,22 @@ class TestDegrees:
 class TestRemoveNodes:
     def test_remove_ten_of_fifty_two(self):
         g = DiGraph([f"c{i:02d}" for i in range(52)])
-        reduced, mapping = g.remove_nodes(set(range(10)))
+        reduced = g.remove_nodes(set(range(10)))
         assert reduced.node_count == 42
-        assert set(mapping) == set(range(10, 52))
+        assert reduced.slugs == g.slugs[10:]
 
     def test_remove_nothing_is_identity(self):
         g = make_digraph("abc", [("a", "b"), ("b", "c")])
-        same, mapping = g.remove_nodes(set())
+        same = g.remove_nodes(set())
         assert same.node_count == 3
         assert sorted(same.arcs()) == sorted(g.arcs())
-        assert mapping == {0: 0, 1: 1, 2: 2}
+        assert same.slugs == g.slugs
 
     def test_pendant_becomes_isolated(self):
         # b's only neighbor is a; removing a leaves b isolated (checked by recount)
         g = make_digraph("abc", [("b", "a"), ("a", "c"), ("c", "a")])
-        reduced, mapping = g.remove_nodes({g.id_of("a")})
-        b = mapping[g.id_of("b")]
+        reduced = g.remove_nodes({g.id_of("a")})
+        b = reduced.id_of("b")
         assert reduced.in_degree(b) == 0 and reduced.out_degree(b) == 0
 
     def test_no_surviving_edge_touches_victims(self):
@@ -127,12 +127,13 @@ class TestRemoveNodes:
         for _ in range(20):
             g = random_digraph(rng, 8, 20)
             victims = set(rng.sample(range(8), 3))
-            reduced, mapping = g.remove_nodes(victims)
+            reduced = g.remove_nodes(victims)
             assert reduced.node_count == 5
-            back = {new: old for old, new in mapping.items()}
+            old_arcs = {(s, t) for s, t, _ in g.arcs()}
             for s, t, _ in reduced.arcs():
-                assert back[s] not in victims and back[t] not in victims
-                assert g.has_arc(back[s], back[t])
+                old_s, old_t = g.id_of(reduced.slug(s)), g.id_of(reduced.slug(t))
+                assert old_s not in victims and old_t not in victims
+                assert (old_s, old_t) in old_arcs
 
 
 class TestInducedSubgraph:
@@ -143,18 +144,18 @@ class TestInducedSubgraph:
         return g.remove_nodes(set(g.node_ids()) - keep)
 
     def test_keep_all(self, bridge_digraph):
-        sub, _ = self.induced(bridge_digraph, set(bridge_digraph.node_ids()))
+        sub = self.induced(bridge_digraph, set(bridge_digraph.node_ids()))
         assert sorted(sub.arcs()) == sorted(bridge_digraph.arcs())
 
     def test_two_unconnected(self, bridge_digraph):
-        sub, _ = self.induced(
+        sub = self.induced(
             bridge_digraph, {bridge_digraph.id_of("a"), bridge_digraph.id_of("e")}
         )
         assert sub.arc_count == 0
 
     def test_bridge_endpoints_keep_only_bridge(self, bridge_digraph):
         keep = {bridge_digraph.id_of("c"), bridge_digraph.id_of("d")}
-        sub, mapping = self.induced(bridge_digraph, keep)
+        sub = self.induced(bridge_digraph, keep)
         arcs = list(sub.arcs())
         assert len(arcs) == 1
         s, t, _ = arcs[0]
@@ -182,9 +183,10 @@ class TestProjection:
         for _ in range(20):
             g = random_digraph(rng, 7, 12)
             sym = DiGraph(g.slugs)
+            arcs = {(s, t) for s, t, _ in g.arcs()}
             for s, t, w in g.arcs():
                 sym.add_edge(s, t, w)
-                if not g.has_arc(t, s):
+                if (t, s) not in arcs:
                     sym.add_edge(t, s, w)
             assert list(sym.undirected_projection().edges()) == list(
                 g.undirected_projection().edges()

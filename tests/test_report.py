@@ -30,7 +30,7 @@ from lexnet.report import (
     write_report,
 )
 
-from conftest import REPORT_DEFECTS, corrupt, make_digraph
+from conftest import REPORT_DEFECTS, corrupt, make_digraph, weights_by_slug
 
 
 class TestParseEdgeList:
@@ -38,7 +38,7 @@ class TestParseEdgeList:
         g = parse_edge_list("a\tb\t1\nb\ta\t2\n")
         assert g.node_count == 2
         assert g.arc_count == 2
-        assert g.weight(g.id_of("b"), g.id_of("a")) == 2
+        assert weights_by_slug(g) == {("a", "b"): 1, ("b", "a"): 2}
 
     def test_self_loop_line(self):
         with pytest.raises(MalformedLineError, match="line 1: self-citation on 'a'") as exc:
@@ -53,6 +53,12 @@ class TestParseEdgeList:
         assert g.node_count == 52
         isolated = [v for v in g.node_ids() if g.in_degree(v) + g.out_degree(v) == 0]
         assert [g.slug(v) for v in isolated] == ["c51"]
+
+    def test_cited_slug_starting_with_hash(self):
+        # '#a' would cite x, but its own record reads as a comment
+        with pytest.raises(MalformedLineError, match="line 1: slug '#a' starts with '#'") as exc:
+            parse_edge_list("x\t#a\t1\n#a\tx\t1\n")
+        assert exc.value.lineno == 1
 
     def test_malformed_line_numbered(self):
         with pytest.raises(MalformedLineError) as exc:
@@ -72,7 +78,7 @@ class TestParseEdgeList:
     def test_duplicate_records_summed_with_warning(self):
         with pytest.warns(DuplicateRecordWarning):
             g = parse_edge_list("a\tb\t1\na\tb\t2\n")
-        assert g.weight(g.id_of("a"), g.id_of("b")) == 3
+        assert weights_by_slug(g) == {("a", "b"): 3}
         assert g.arc_count == 1
 
     def test_round_trip(self):
