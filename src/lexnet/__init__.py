@@ -19,8 +19,8 @@ _SOURCES = {
         "communities",
     ),
     **dict.fromkeys(
-        ("CodeDocument", "CodeRegistry", "EdgeList", "Mention", "build_edge_list",
-         "find_citations", "load_registry", "normalize_text"),
+        ("CodeDocument", "CodeRegistry", "Mention", "build_edge_list", "find_citations",
+         "load_registry", "normalize_text"),
         "extraction",
     ),
     **dict.fromkeys(("DiGraph", "UGraph"), "graph"),

@@ -25,7 +25,7 @@ from .errors import ConfigError, DegenerateGraphError, LexnetError
 # perfbench/tracing.patched looks up every traced module in sys.modules,
 # including on workloads that never run extract or fixture
 from .extraction import CodeDocument, build_edge_list, load_registry
-from .files import write_text_atomic
+from .files import read_text, write_text_atomic
 from .fixture import write_fixture
 
 if TYPE_CHECKING:
@@ -53,15 +53,6 @@ _COMMAND_SECTIONS = {
     "communities": ("graph_summary", "communities", "provenance"),
     "nulls": ("graph_summary", "baselines", "assessment", "provenance"),
 }
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise LexnetError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise LexnetError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -125,8 +116,8 @@ def _parse_graph(args: argparse.Namespace) -> DiGraph:
     """Parse --edges and --nodes; each duplicate record costs one stderr line."""
     from .report import DuplicateRecordWarning, parse_edge_list
 
-    nodes_text = _read_text(args.nodes) if args.nodes else None
-    edges_text = _read_text(args.edges)
+    nodes_text = read_text(args.nodes) if args.nodes else None
+    edges_text = read_text(args.edges)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DuplicateRecordWarning)
         graph = parse_edge_list(edges_text, nodes_text)
@@ -148,7 +139,7 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     from .config import load_config
 
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    text = _read_text(path) if path else None
+    text = read_text(path) if path else None
     overrides = {name: getattr(args, name) for name, _ in _OVERRIDE_FLAGS}
     return load_config(text, overrides)
 
@@ -161,19 +152,18 @@ def _inputs(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    registry = load_registry(_read_text(args.registry))
+    registry = load_registry(read_text(args.registry))
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise LexnetError(f"corpus directory {args.corpus!r} does not exist")
     corpus = [
-        CodeDocument(path.stem, _read_text(str(path)))
+        CodeDocument(path.stem, read_text(str(path)))
         for path in sorted(corpus_dir.glob("*.txt"))
     ]
-    edge_list = build_edge_list(corpus, registry)
-    _write_text(args.out, edge_list.to_tsv())
-    if args.nodes_out:
-        from .report import write_node_sidecar
+    from .report import write_edge_list, write_node_sidecar
 
+    _write_text(args.out, write_edge_list(build_edge_list(corpus, registry)))
+    if args.nodes_out:
         _write_text(args.nodes_out, write_node_sidecar(registry.slugs()))
     return 0
 
@@ -204,7 +194,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from .report import read_report, write_dot, write_graphml
 
     graph = _parse_graph(args)
-    report = read_report(_read_text(args.report))
+    report = read_report(read_text(args.report))
     roles = {slug: entry["role"] for slug, entry in report["roles"].items()}
     rich_club = report["rich_club"]
     communities = report["communities"].get("assignment", {})
@@ -250,3 +240,7 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -46,10 +46,10 @@ class TooFewEdgesError(LexnetError):
 # -- errors that carry a field ------------------------------------------------
 
 class MalformedLineError(LexnetError):
-    """An edge-list line is not a valid citing/cited/count record."""
+    """A line of a TSV input (registry, edge list or node sidecar) is not a valid record."""
 
-    def __init__(self, lineno: int, reason: str):
-        super().__init__(f"line {lineno}: {reason}")
+    def __init__(self, lineno: int, reason: str, where: str = "line"):
+        super().__init__(f"{where} {lineno}: {reason}")
         self.lineno = lineno
 
 

@@ -26,7 +26,8 @@ import unicodedata
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import LexnetError
+from .errors import LexnetError, MalformedLineError
+from .files import tsv_records
 
 _APOSTROPHES = "’‘ʼ`´"  # curly quotes, modifier letter, backtick, acute
 _LIGATURES = {"œ": "oe", "æ": "ae"}  # not decomposed by NFKD
@@ -167,23 +168,16 @@ class CodeRegistry:
 def load_registry(content: str) -> CodeRegistry:
     """Parse the tab-separated registry format.
 
-    Each line reads ``slug<TAB>display_name<TAB>alias1|alias2|...``; blank
-    lines and ``#`` comments are ignored. Aliases are stored normalized.
+    Each record reads ``slug<TAB>display_name<TAB>alias1|alias2|...``
+    (lines as ``files.tsv_records`` reads them). Aliases are stored normalized.
     """
     entries = []
-    for lineno, raw in enumerate(content.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = raw.rstrip("\n").split("\t")
-        if len(fields) != 3:
-            raise LexnetError(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        slug, display_name, alias_field = (f.strip() for f in fields)
+    for lineno, (slug, display_name, alias_field) in tsv_records(content, 3):
         if not slug or not display_name or not alias_field:
-            raise LexnetError(f"line {lineno}: empty field")
+            raise MalformedLineError(lineno, "empty field")
         aliases = tuple(normalize_text(a) for a in alias_field.split("|"))
         if any(not a for a in aliases):
-            raise LexnetError(f"line {lineno}: empty alias")
+            raise MalformedLineError(lineno, "empty alias")
         entries.append(RegistryEntry(slug, display_name, aliases))
     return CodeRegistry(entries)
 
@@ -220,24 +214,10 @@ def find_citations(doc: CodeDocument, registry: CodeRegistry) -> list[Mention]:
     return mentions
 
 
-class EdgeRecord(NamedTuple):
-    citing_slug: str
-    cited_slug: str
-    count: int
-
-
-class EdgeList(NamedTuple):
-    """Aggregated citation records, sorted by (citing, cited) slug."""
-
-    records: tuple[EdgeRecord, ...]
-
-    def to_tsv(self) -> str:
-        lines = [f"{r.citing_slug}\t{r.cited_slug}\t{r.count}" for r in self.records]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def build_edge_list(corpus: Iterable[CodeDocument], registry: CodeRegistry) -> EdgeList:
-    """Scan every document and aggregate mentions into citation counts."""
+def build_edge_list(
+    corpus: Iterable[CodeDocument], registry: CodeRegistry
+) -> list[tuple[str, str, int]]:
+    """Scan every document and aggregate mentions into sorted ``(citing, cited, count)`` rows."""
     counts: Counter[tuple[str, str]] = Counter()
     seen = set()
     for doc in corpus:
@@ -246,8 +226,4 @@ def build_edge_list(corpus: Iterable[CodeDocument], registry: CodeRegistry) -> E
         seen.add(doc.slug)
         for mention in find_citations(doc, registry):
             counts[(doc.slug, mention.cited_slug)] += 1
-    records = tuple(
-        EdgeRecord(citing, cited, counts[(citing, cited)])
-        for citing, cited in sorted(counts)
-    )
-    return EdgeList(records)
+    return sorted((citing, cited, count) for (citing, cited), count in counts.items())

@@ -1,10 +1,49 @@
-"""Atomic output files: the text goes to a temp file renamed over the target."""
+"""Input and output files: the byte-order mark and TSV line rules, and atomic writes.
+
+Inputs are read as UTF-8 without a leading byte-order mark; the registry,
+edge list and node sidecar share one TSV line reader, which rejects a
+mark anywhere else. An output goes to a temp file renamed over the target.
+"""
 
 import contextlib
 import os
 from pathlib import Path
+from typing import Iterator
 
-from .errors import LexnetError
+from .errors import LexnetError, MalformedLineError
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of path, without the byte-order mark some editors put first."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise LexnetError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise LexnetError(f"cannot read {path}: {exc}") from exc
+
+
+def tsv_records(content: str, width: int, where: str = "line") -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, stripped fields)`` for each record line of a TSV text.
+
+    Blank lines and lines starting with ``#`` are skipped. A record line
+    must hold exactly ``width`` tab-separated fields and no U+FEFF: a mark
+    inside a file is invisible, and in a slug it would name another node.
+    Each MalformedLineError names the line as ``{where} N``.
+    """
+    for lineno, raw in enumerate(content.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "\ufeff" in raw:
+            raise MalformedLineError(lineno, "byte-order mark (U+FEFF) inside the file", where)
+        fields = raw.split("\t")
+        if len(fields) != width:
+            noun = "field" if width == 1 else "fields"
+            raise MalformedLineError(
+                lineno, f"expected {width} tab-separated {noun}, got {len(fields)}", where
+            )
+        yield lineno, [field.strip() for field in fields]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -231,9 +231,8 @@ def normalized_rich_club(
     values = []
     for i in range(samples):
         null = degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
-        null_phi = phi_table(null).get(k)
-        # the degree sequence is preserved, so phi stays defined
-        values.append(0.0 if null_phi is None else null_phi)
+        # a rewiring keeps every degree, so n_k and with it phi(k) stay defined
+        values.append(phi_table(null)[k])
     mean, stddev = mean_std(values)
     if mean == 0.0:
         raise NullModelDegenerateError(f"null-model mean of phi({k}) is zero")

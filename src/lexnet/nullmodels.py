@@ -185,7 +185,7 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
 class NullModelStats(NamedTuple):
     """Sample statistics of one baseline family."""
 
-    model: str  # er_gnm | watts_strogatz | rewired
+    model: str  # er_gnm | watts_strogatz
     samples: int
     seed: int
     params: dict

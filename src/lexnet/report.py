@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from typing import Any, Collection, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import LexnetError, MalformedLineError, SchemaViolationError
+from .files import tsv_records
 from .graph import DiGraph
 
 SCHEMA_VERSION = 1
@@ -31,20 +32,14 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
 
     The sidecar (one slug per line) declares nodes that may not appear in
     any record, which is the only way isolated vertices survive the
-    round trip. Lines starting with ``#`` are comments, so no slug may start
-    with ``#``. Duplicate records are summed with a warning; self-citation
-    lines are rejected.
+    round trip. Both texts are read by ``files.tsv_records``: lines
+    starting with ``#`` are comments, so no slug may start with ``#``.
+    Duplicate records are summed with a warning; self-citation lines are
+    rejected.
     """
     records: list[tuple[str, str, int, int]] = []
     slugs: set[str] = set()
-    for lineno, raw in enumerate(content.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise MalformedLineError(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-        citing, cited, count_text = (f.strip() for f in fields)
+    for lineno, (citing, cited, count_text) in tsv_records(content, 3):
         if not citing or not cited:
             raise MalformedLineError(lineno, "empty slug")
         if cited.startswith("#"):
@@ -62,10 +57,7 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
         slugs.add(citing)
         slugs.add(cited)
     if nodes_content is not None:
-        for raw in nodes_content.splitlines():
-            slug = raw.strip()
-            if slug and not slug.startswith("#"):
-                slugs.add(slug)
+        slugs.update(slug for _, (slug,) in tsv_records(nodes_content, 1, "node sidecar line"))
     if not slugs:
         raise LexnetError("no nodes in edge list or sidecar")
     graph = DiGraph(sorted(slugs))
@@ -82,8 +74,13 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
     return graph
 
 
-def write_node_sidecar(slugs: Collection[str]) -> str:
-    return "\n".join(sorted(slugs)) + ("\n" if slugs else "")
+def write_edge_list(rows: Iterable[tuple[str, str, int]]) -> str:
+    """One ``citing<TAB>cited<TAB>count`` line per row, in the given order."""
+    return "".join(f"{citing}\t{cited}\t{count}\n" for citing, cited, count in rows)
+
+
+def write_node_sidecar(slugs: Iterable[str]) -> str:
+    return "".join(f"{slug}\n" for slug in sorted(slugs))
 
 
 # -- DOT and GraphML ------------------------------------------------------------------
@@ -317,6 +314,13 @@ _BASELINE_KEYS = (
 )
 
 
+def _require(mapping: Mapping[str, Any], keys: Iterable[str], path: str) -> None:
+    """Raise SchemaViolationError at ``{path}.{key}`` for the first key mapping lacks."""
+    for key in keys:
+        if key not in mapping:
+            raise SchemaViolationError(f"{path}.{key}", "missing field")
+
+
 def validate_report_payload(payload: Any) -> None:
     """Raise SchemaViolationError (with a JSON path) on structural problems."""
     if not isinstance(payload, dict):
@@ -330,27 +334,19 @@ def validate_report_payload(payload: Any) -> None:
         if not isinstance(payload[key], expected):
             raise SchemaViolationError(f"$.{key}", f"expected {expected.__name__}")
     summary = payload["graph_summary"]
-    for key in _GRAPH_SUMMARY_KEYS:
-        if key not in summary:
-            raise SchemaViolationError(f"$.graph_summary.{key}", "missing field")
+    _require(summary, _GRAPH_SUMMARY_KEYS, "$.graph_summary")
     node_slugs = set(payload["roles"])
     if summary["n"] != len(node_slugs):
         raise SchemaViolationError("$.graph_summary.n", "does not match the roles section")
     for slug, entry in payload["roles"].items():
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"$.roles.{slug}", "expected object")
-        for key in _ROLE_KEYS:
-            if key not in entry:
-                raise SchemaViolationError(f"$.roles.{slug}.{key}", "missing field")
+        _require(entry, _ROLE_KEYS, f"$.roles.{slug}")
         if entry["role"] not in _ROLES:
             raise SchemaViolationError(f"$.roles.{slug}.role", f"expected one of {list(_ROLES)}")
-    for section in ("top_citing", "top_cited"):
-        if section not in payload["rankings"]:
-            raise SchemaViolationError(f"$.rankings.{section}", "missing field")
+    _require(payload["rankings"], ("top_citing", "top_cited"), "$.rankings")
     club = payload["rich_club"]
-    for key in _CLUB_KEYS:
-        if key not in club:
-            raise SchemaViolationError(f"$.rich_club.{key}", "missing field")
+    _require(club, _CLUB_KEYS, "$.rich_club")
     for key in ("members", "top_citing", "top_cited"):
         if not isinstance(club[key], list):
             raise SchemaViolationError(f"$.rich_club.{key}", "expected list")
@@ -367,17 +363,10 @@ def validate_report_payload(payload: Any) -> None:
     for i, entry in enumerate(payload["baselines"]):
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"$.baselines[{i}]", "expected object")
-        for key in _BASELINE_KEYS:
-            if key not in entry:
-                raise SchemaViolationError(f"$.baselines[{i}].{key}", "missing field")
-    assessment = payload["assessment"]
-    for key in _ASSESSMENT_KEYS:
-        if key not in assessment:
-            raise SchemaViolationError(f"$.assessment.{key}", "missing field")
+        _require(entry, _BASELINE_KEYS, f"$.baselines[{i}]")
+    _require(payload["assessment"], _ASSESSMENT_KEYS, "$.assessment")
     communities = payload["communities"]
-    for key in ("q", "main", "residual", "min_size"):
-        if key not in communities:
-            raise SchemaViolationError(f"$.communities.{key}", "missing field")
+    _require(communities, ("q", "main", "residual", "min_size"), "$.communities")
     assignment = communities.get("assignment", {})
     if not isinstance(assignment, dict):
         raise SchemaViolationError("$.communities.assignment", "expected object")
@@ -386,9 +375,8 @@ def validate_report_payload(payload: Any) -> None:
             raise SchemaViolationError(
                 f"$.communities.assignment.{slug}", "expected a node slug mapped to an integer"
             )
-    for key in ("config_digest", "seed", "tool_version", "run_id"):
-        if key not in payload["provenance"]:
-            raise SchemaViolationError(f"$.provenance.{key}", "missing field")
+    _require(payload["provenance"], ("config_digest", "seed", "tool_version", "run_id"),
+             "$.provenance")
 
 
 def write_report(report: dict) -> str:

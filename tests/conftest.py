@@ -642,9 +642,9 @@ def fixture_graph():
     """The bundled 52-code fixture, run through the real extraction path."""
     from lexnet.extraction import CodeDocument, build_edge_list, load_registry
     from lexnet.fixture import fixture_corpus, fixture_registry_text
-    from lexnet.report import parse_edge_list, write_node_sidecar
+    from lexnet.report import parse_edge_list, write_edge_list, write_node_sidecar
 
     registry = load_registry(fixture_registry_text())
     corpus = [CodeDocument(slug, text) for slug, text in fixture_corpus().items()]
-    edge_list = build_edge_list(corpus, registry)
-    return parse_edge_list(edge_list.to_tsv(), write_node_sidecar(registry.slugs()))
+    rows = build_edge_list(corpus, registry)
+    return parse_edge_list(write_edge_list(rows), write_node_sidecar(registry.slugs()))

@@ -24,6 +24,7 @@ import lexnet.pipeline
 from lexnet.cli import main, run
 from lexnet.config import PipelineConfig
 from lexnet.errors import LexnetError
+from lexnet.files import read_text
 from lexnet.graph import DiGraph
 from lexnet.report import parse_edge_list, read_report
 
@@ -314,6 +315,77 @@ def test_byte_order_mark_is_not_part_of_an_input(fixture_dir, tmp_path, monkeypa
         outputs[name] = files
     assert outputs["marked"] == outputs["plain"]
     assert json.loads(outputs["plain"]["report.json"])["graph_summary"]["n"] == 52
+
+
+def test_read_text_drops_only_a_leading_mark(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("\ufeffa\tb\t1\n\ufeffb\tc\t1\n", encoding="utf-8")
+    assert read_text(str(path)) == "a\tb\t1\n\ufeffb\tc\t1\n"
+
+
+class TestTsvLineRules:
+    """A U+FEFF past the start of a TSV input, or a tab in a sidecar line, exits 3 naming the line.
+
+    Either would otherwise enter a slug that no other line can name.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def _run(files: dict[str, str], argv: list[str]) -> tuple[int, str]:
+        """Write files (name -> text) to the working directory, run argv: (exit code, stderr)."""
+        for name, text in files.items():
+            Path(name).parent.mkdir(parents=True, exist_ok=True)
+            Path(name).write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(argv)
+        return rc, err.getvalue()
+
+    _EXTRACT = ["extract", "--corpus", "corpus", "--registry", "registry.tsv",
+                "--out", "edges.tsv", "--nodes-out", "nodes.txt"]
+    _ANALYZE = ["analyze", "--edges", "edges.tsv", "--nodes", "nodes.txt", "--out", "report.json"]
+    _EDGES = "a\tb\t1\nb\tc\t1\nc\ta\t1\n"
+
+    def test_mark_in_the_registry(self):
+        files = {"registry.tsv": "a\tA\tcode a\n\ufeffb\tB\tcode b\n",
+                 "corpus/a.txt": "le code b"}
+        assert self._run(files, self._EXTRACT) == (
+            3, "lexnet: line 2: byte-order mark (U+FEFF) inside the file\n")
+        assert not Path("edges.tsv").exists() and not Path("nodes.txt").exists()
+
+    @pytest.mark.parametrize(("edges", "nodes", "where"), [
+        ("a\tb\t1\n\ufeffb\tc\t1\nc\ta\t1\n", "a\n", "line 2"),
+        (_EDGES, "a\n\ufeffb\n", "node sidecar line 2"),
+    ], ids=["edge-list", "sidecar"])
+    def test_mark_in_a_graph_input(self, edges, nodes, where):
+        files = {"edges.tsv": edges, "nodes.txt": nodes}
+        assert self._run(files, self._ANALYZE) == (
+            3, f"lexnet: {where}: byte-order mark (U+FEFF) inside the file\n")
+        assert not Path("report.json").exists()
+
+    def test_mark_in_a_comment_is_ignored(self):
+        comment = "# a \ufeff in a comment\n"
+        files = {"registry.tsv": comment + "a\tA\tcode a\nb\tB\tcode b\nc\tC\tcode c\n",
+                 "corpus/a.txt": "le code b", "corpus/b.txt": "le code c",
+                 "corpus/c.txt": "le code a"}
+        assert self._run(files, self._EXTRACT) == (0, "")
+        assert Path("edges.tsv").read_text(encoding="utf-8") == self._EDGES
+        for name in ("edges.tsv", "nodes.txt"):
+            Path(name).write_text(comment + Path(name).read_text(encoding="utf-8"),
+                                  encoding="utf-8")
+        assert self._run({}, [*self._ANALYZE, "--null-samples", "2", "--k-citing", "1",
+                              "--k-cited", "1"]) == (0, "")
+        report = read_report(Path("report.json").read_text(encoding="utf-8"))
+        assert report["graph_summary"]["n"] == 3
+
+    def test_sidecar_line_with_a_tab(self):
+        files = {"edges.tsv": self._EDGES, "nodes.txt": "a\nb\tc\n"}
+        assert self._run(files, self._ANALYZE) == (
+            3, "lexnet: node sidecar line 2: expected 1 tab-separated field, got 2\n")
+        assert not Path("report.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -620,12 +692,13 @@ def test_seeded_inputs_give_a_report_or_a_documented_exit():
 # has 2-6 entries whose aliases end in a letter of their own, so no two
 # entries share an alias, and documents that mention them. A case then
 # takes up to two defects, each breaking the registry or the corpus in
-# one way, except a leading byte-order mark, which must change nothing.
+# one way, except a leading byte-order mark, which must change nothing; a
+# mark at the start of a later registry line must exit 3.
 # Two cases in five take none, so that many runs succeed and reach the
 # edge-list check.
 _EXTRACT_WORDS = ["code", "civil", "rural", "pénal", "du", "travail", "œuvre", "l'État"]
 _EXTRACT_DEFECTS = ["field_count", "empty_field", "empty_alias", "shared_alias", "duplicate_slug",
-                    "unknown_stem", "bom", "invalid_utf8", "directory"]
+                    "unknown_stem", "bom", "inner_bom", "invalid_utf8", "directory"]
 SEEDED_EXTRACT_CASES = 200
 
 
@@ -654,6 +727,7 @@ def _seeded_extract_case(seed: int):
     defects = rng.sample(_EXTRACT_DEFECTS, rng.choice([0, 0, 1, 1, 2]))
     first = slugs[0]
     mark = ""
+    inner_mark = False
     for defect in defects:
         if defect == "field_count":
             lines.append(rng.choice(["x\tX", "x\tX\tx\textra", "x"]))
@@ -674,11 +748,16 @@ def _seeded_extract_case(seed: int):
                 corpus[name] = "\ufeff".encode("utf-8") + corpus[name]
             else:
                 mark = "\ufeff"
+        elif defect == "inner_bom":
+            inner_mark = True
         elif defect == "invalid_utf8":
             corpus[f"{rng.choice(slugs)}.txt"] = b"code \xff\xfe civil"
         else:
             corpus[f"{rng.choice(slugs + ['x'])}.txt"] = None
     rng.shuffle(lines)
+    if inner_mark:
+        line = rng.randrange(1, len(lines))
+        lines[line] = "\ufeff" + lines[line]
     return (mark + "".join(line + "\n" for line in lines)).encode("utf-8"), corpus
 
 
@@ -706,6 +785,7 @@ def _run_extract_case(case) -> int:
         else:
             assert err.getvalue() == ""
             nodes_text = nodes.read_text(encoding="utf-8")
+            assert "\ufeff" not in nodes_text  # no invisible slug
             graph = parse_edge_list(edges.read_text(encoding="utf-8"), nodes_text)
             assert list(graph.slugs) == nodes_text.splitlines()
     return rc
@@ -840,17 +920,22 @@ class TestLazyPackage:
         assert _fresh_python(["-c", code]) == "[]\n"
 
 
-def _fresh_python(args: list[str], cwd: Path | None = None) -> str:
-    """Standard output of a new interpreter on src/, run without site (-S).
+def _python(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """A new interpreter on src/, run without site (-S), its output captured as text.
 
     A fresh interpreter, since this one has loaded what pytest needs, and
     without site, which preloads different modules on each host.
     """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-S", *args], env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
         capture_output=True, text=True,
     )
+
+
+def _fresh_python(args: list[str], cwd: Path | None = None) -> str:
+    """Standard output of _python(args, cwd), which must exit 0."""
+    proc = _python(args, cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -898,6 +983,20 @@ def test_script_entry_point_exits_with_the_run_code(argv, code, tmp_path, monkey
     if code in (3, 4):
         err = capsys.readouterr().err
         assert err.startswith("lexnet: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(("argv", "code"), [
+    (["fixture", "--out-dir", "d"], 0),
+    (["analyze", "--edges", "missing.tsv"], 3),
+])
+def test_module_runs_the_cli(argv, code, tmp_path):
+    proc = _python(["-m", "lexnet.cli", *argv], cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("lexnet: cannot read missing.tsv: ")
+        assert len(proc.stderr.splitlines()) == 1
+    else:
+        assert (tmp_path / "d" / "registry.tsv").is_file()
 
 
 def test_readme_configuration_table_matches_pipeline_config():

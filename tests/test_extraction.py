@@ -118,7 +118,7 @@ class TestLoadRegistry:
     def test_single_entry_registry_yields_empty_edges(self):
         registry = load_registry("civil\tCode civil\tcode civil\n")
         corpus = [CodeDocument("civil", "le code civil cite le code civil")]
-        assert build_edge_list(corpus, registry).records == ()
+        assert build_edge_list(corpus, registry) == []
 
     def test_aliases_are_normalized(self):
         registry = load_registry(REGISTRY_TEXT)
@@ -189,13 +189,10 @@ class TestBuildEdgeList:
             "civil",
             "le code pénal, encore le code pénal, toujours le code pénal",
         )
-        records = build_edge_list([doc], registry).records
-        assert [(r.citing_slug, r.cited_slug, r.count) for r in records] == [
-            ("civil", "penal", 3)
-        ]
+        assert build_edge_list([doc], registry) == [("civil", "penal", 3)]
 
     def test_empty_corpus(self, registry):
-        assert build_edge_list([], registry).records == ()
+        assert build_edge_list([], registry) == []
 
     def test_duplicate_document(self, registry):
         docs = [CodeDocument("civil", "x"), CodeDocument("civil", "y")]
@@ -218,8 +215,8 @@ class TestBuildEdgeList:
             text = " , ".join(rng.choice(words) for _ in range(30))
             doc = CodeDocument("sante", text)
             mentions = find_citations(doc, registry)
-            records = build_edge_list([doc], registry).records
-            assert sum(r.count for r in records) == len(mentions)
+            rows = build_edge_list([doc], registry)
+            assert sum(count for _, _, count in rows) == len(mentions)
 
     def test_scan_determinism(self, registry):
         doc = CodeDocument("civil", "code pénal et code de la santé publique et code civil")

@@ -25,12 +25,13 @@ from lexnet.report import (
     parse_edge_list,
     read_report,
     write_dot,
+    write_edge_list,
     write_graphml,
     write_node_sidecar,
     write_report,
 )
 
-from conftest import REPORT_DEFECTS, corrupt, make_digraph, weights_by_slug
+from conftest import DELETE, REPORT_DEFECTS, corrupt, make_digraph, weights_by_slug
 
 
 class TestParseEdgeList:
@@ -84,12 +85,10 @@ class TestParseEdgeList:
     def test_round_trip(self):
         registry = load_registry(fixture_registry_text())
         corpus = [CodeDocument(slug, text) for slug, text in fixture_corpus().items()]
-        edge_list = build_edge_list(corpus, registry)
-        again = parse_edge_list(edge_list.to_tsv(), write_node_sidecar(registry.slugs()))
+        rows = build_edge_list(corpus, registry)
+        again = parse_edge_list(write_edge_list(rows), write_node_sidecar(registry.slugs()))
         assert again.node_count == len(registry.slugs())
-        assert sorted((again.slug(s), again.slug(t), w) for s, t, w in again.arcs()) == [
-            (r.citing_slug, r.cited_slug, r.count) for r in edge_list.records
-        ]
+        assert sorted((again.slug(s), again.slug(t), w) for s, t, w in again.arcs()) == rows
 
 
 @pytest.fixture
@@ -239,6 +238,30 @@ class TestCanonicalJson:
         assert canonical_json("pénal") == '"p\\u00e9nal"'
 
 
+# Every field the schema requires: (keys down to the object that holds it,
+# that object's JSON path, the field). The slug is a fixture code.
+_REQUIRED_FIELDS = [
+    (parents, path, key)
+    for parents, path, keys in (
+        (("graph_summary",), "$.graph_summary", ("n", "arcs", "undirected_edges", "density")),
+        (("roles", "sante_publique"), "$.roles.sante_publique",
+         ("in_degree", "out_degree", "total_degree", "role")),
+        (("rankings",), "$.rankings", ("top_citing", "top_cited")),
+        (("rich_club",), "$.rich_club",
+         ("members", "top_citing", "top_cited", "internal_density", "quotation_capture")),
+        (("baselines", 1), "$.baselines[1]",
+         ("model", "samples", "seed", "params", "density_mean", "clustering_mean",
+          "clustering_stddev", "path_length_mean", "path_length_stddev")),
+        (("assessment",), "$.assessment",
+         ("observed", "density_ratio_vs_er", "clustering_ratio_vs_er", "rich_club_present",
+          "verdict")),
+        (("communities",), "$.communities", ("q", "main", "residual", "min_size")),
+        (("provenance",), "$.provenance", ("config_digest", "seed", "tool_version", "run_id")),
+    )
+    for key in keys
+]
+
+
 @pytest.fixture(scope="module")
 def report(fixture_graph):
     config = PipelineConfig(null_samples=5)
@@ -321,3 +344,13 @@ class TestReportRoundTrip:
         payload = json.loads(write_report(report))
         del payload["baselines"][0]["path_length_stddev"]
         assert self._violation(payload) == "$.baselines[0].path_length_stddev"
+
+    @pytest.mark.parametrize(("parents", "path", "key"), _REQUIRED_FIELDS,
+                             ids=[f"{path}.{key}" for _, path, key in _REQUIRED_FIELDS])
+    def test_missing_required_field_rejected(self, report, parents, path, key):
+        payload = json.loads(write_report(report))
+        corrupt(payload, (*parents, key), DELETE)
+        with pytest.raises(SchemaViolationError) as exc:
+            read_report(canonical_json(payload))
+        assert exc.value.path == f"{path}.{key}"
+        assert str(exc.value) == f"{path}.{key}: missing field"
