@@ -38,9 +38,8 @@ def modularity(ug: UGraph, assignment: Sequence[int]) -> float:
         raise LexnetError(f"assignment covers {len(assignment)} of {n} nodes")
     internal: dict[int, int] = {}
     degree_sum: dict[int, int] = {}
-    for v in ug.node_ids():
-        c = assignment[v]
-        degree_sum[c] = degree_sum.get(c, 0) + ug.degree(v)
+    for c, nbrs in zip(assignment, ug.adj):
+        degree_sum[c] = degree_sum.get(c, 0) + len(nbrs)
     for u, v in ug.edges():
         if assignment[u] == assignment[v]:
             c = assignment[u]
@@ -127,8 +126,8 @@ def cnm_trace(ug: UGraph) -> CnmTrace:
     label: dict[int, int] = {}
     nbr: dict[int, dict[int, int]] = {}
     q = 0.0
-    for v in range(n):
-        d = ug.degree(v)
+    for v, nbrs in enumerate(ug.adj):
+        d = len(nbrs)
         comm_deg[v] = d
         label[v] = v
         nbr[v] = {}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
+import sys
 from typing import Any, Mapping, NamedTuple
 
 from .errors import ConfigError
@@ -31,41 +31,31 @@ class PipelineConfig(NamedTuple):
     path_length_factor: float = 1.5  # small world: path length <= factor * ER mean
     sparse_sigma: float = 2.0  # sparse-random: transitivity within sigma of ER
 
-    def validate(self) -> None:
-        """Check every field's type and range.
-
-        A config file is JSON, which can spell true, NaN and Infinity: a
-        bool is neither an integer nor a number here, and floats must be
-        finite.
-        """
-        for name, default in self._field_defaults.items():
-            value = getattr(self, name)
-            if isinstance(default, int):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
-                if name != "seed" and value < 1:
-                    raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-            else:
-                finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-                if isinstance(value, bool) or not finite:
-                    raise ConfigError(f"{name} must be a finite number, got {value!r}")
-                if value < 0:
-                    raise ConfigError(f"{name} must be non-negative, got {value!r}")
-        if self.ws_p > 1:
-            raise ConfigError(f"ws_p must be in [0, 1], got {self.ws_p!r}")
-
     def digest(self) -> str:
         payload = json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
         return sha256(payload.encode("utf-8")).hexdigest()
 
 
-def config_from_mapping(mapping: Mapping[str, Any]) -> PipelineConfig:
-    unknown = set(mapping).difference(PipelineConfig._fields)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    config = PipelineConfig(**mapping)
-    config.validate()
-    return config
+def _checked(name: str, value: Any) -> Any:
+    """value, checked against the type and range of field name.
+
+    A config file is JSON, which can spell true, NaN and Infinity: a bool
+    is neither an integer nor a number here, and floats must be finite. A
+    float field's value is returned as a float, so ``1`` and ``1.0`` give
+    the same config and the same digest.
+    """
+    if isinstance(PipelineConfig._field_defaults[name], int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if name != "seed" and value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        return value
+    # not a bool, and no NaN, infinity or integer past the largest float
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"{name} must be non-negative, got {value!r}")
+    return float(value)
 
 
 def load_config(text: str | None, overrides: Mapping[str, Any] | None = None) -> PipelineConfig:
@@ -81,4 +71,11 @@ def load_config(text: str | None, overrides: Mapping[str, Any] | None = None) ->
         values.update(loaded)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    return config_from_mapping(values)
+    unknown = set(values).difference(PipelineConfig._fields)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    given = PipelineConfig(**values)
+    config = PipelineConfig(*map(_checked, given._fields, given))
+    if config.ws_p > 1:
+        raise ConfigError(f"ws_p must be in [0, 1], got {given.ws_p!r}")
+    return config

@@ -165,7 +165,7 @@ def phi_table(ug: UGraph) -> dict[int, float | None]:
     while its smaller endpoint degree does, so suffix sums over those two
     histograms give every n_k and e_k.
     """
-    adj = ug._adj  # read only
+    adj = ug.adj
     degree = [len(nbrs) for nbrs in adj]
     max_deg = max(degree, default=0)
     nodes_at = [0] * (max_deg + 1)
@@ -248,7 +248,7 @@ def global_clustering(ug: UGraph) -> float:
     Each edge {u, v} lies on |N(u) & N(v)| triangles, so summing that over
     the edges counts every triangle three times, once per edge.
     """
-    adj = ug._adj  # read only
+    adj = ug.adj
     closed = triples = 0
     for v, nbrs in enumerate(adj):
         d = len(nbrs)
@@ -270,7 +270,7 @@ def average_path_length(ug: UGraph) -> float:
     if n < 2:
         raise DegenerateGraphError("average path length needs at least 2 nodes")
     # a node's reach mask is its component, so one sweep also finds those
-    counts, reach = distance_counts([list(nbrs) for nbrs in ug._adj])  # read only
+    counts, reach = distance_counts(ug.adj)
     sizes = [mask.bit_count() for mask in reach]
     size = max(sizes)
     if size < 2:
@@ -295,7 +295,7 @@ def betweenness_scores(ug: UGraph) -> list[float]:
     of w is any neighbor one step nearer the source, so none are stored.
     """
     n = ug.node_count
-    adj = [sorted(nbrs) for nbrs in ug._adj]  # read only
+    adj = [sorted(nbrs) for nbrs in ug.adj]
     raw = [0.0] * n
     for s in range(n):
         sigma = [0.0] * n
@@ -334,7 +334,7 @@ def harmonic_closeness_scores(ug: UGraph) -> list[float]:
     n = ug.node_count
     if n < 2:
         return [0.0] * n
-    counts, _ = distance_counts([list(nbrs) for nbrs in ug._adj])  # read only
+    counts, _ = distance_counts(ug.adj)
     scores = []
     for row in counts:
         # 1/d once per node at distance d, nearest first: the same float

@@ -72,7 +72,7 @@ def erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
             u_nbrs.add(v)
             adj[v].add(u)
             added += 1
-    return UGraph._from_adjacency(adj, m)
+    return UGraph(adj)
 
 
 def watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
@@ -115,7 +115,7 @@ def watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
             adj[old].discard(i)
             i_nbrs.add(w)
             adj[w].add(i)
-    return UGraph._from_adjacency(adj, n * half)
+    return UGraph(adj)
 
 
 def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
@@ -141,7 +141,7 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
     rest = m - 1
     rest_bits = rest.bit_length()
     edges = list(ug.edges())
-    adj = ug.adjacency()
+    adj = [set(nbrs) for nbrs in ug.adj]
     for _ in range(swap_attempts):
         i = getrandbits(m_bits)
         while i >= m:
@@ -176,7 +176,7 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
         edges[j] = (c, b) if c < b else (b, c)
     # compact copies: swap churn leaves set tables about 1.6x the size of
     # freshly built ones, which shows in peak memory on large graphs
-    return UGraph._from_adjacency([set(nbrs) for nbrs in adj], m)
+    return UGraph([set(nbrs) for nbrs in adj])
 
 
 # -- baseline statistics -----------------------------------------------------------
@@ -260,7 +260,7 @@ def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig
     the "phi-norm" stream of ``config.seed``. Returns
     (validated, k, NormalizedPhi-or-None).
     """
-    k = min(ug.degree(v) for v in club.members)
+    k = min(len(ug.adj[v]) for v in club.members)
     seed = derive_seed(config.seed, "phi-norm")
     try:
         norm = normalized_rich_club(

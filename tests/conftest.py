@@ -18,16 +18,34 @@ from lexnet.extraction import _APOSTROPHES, _LIGATURES
 from lexnet.graph import DiGraph, UGraph
 
 
+def ugraph(n: int, edges) -> UGraph:
+    """The simple graph on nodes 0..n-1 with the given (u, v) edges.
+
+    A repeated edge, in either orientation, counts once. A node id
+    outside 0..n-1 or a self-loop raises LexnetError, as does n < 1, so a
+    graph built by hand meets the contract that UGraph(adj) trusts.
+    """
+    if n < 1:
+        raise LexnetError("a graph needs at least one node")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        for w in (u, v):
+            if not isinstance(w, int) or not 0 <= w < n:
+                raise LexnetError(f"node id {w!r} outside 0..{n - 1}")
+        if u == v:
+            raise LexnetError(f"self-loop on node {u}")
+        adj[u].add(v)
+        adj[v].add(u)
+    return UGraph(adj)
+
+
 @st.composite
 def ugraphs(draw, max_nodes: int = 12) -> UGraph:
     """Hypothesis strategy: small simple graphs, often disconnected."""
     n = draw(st.integers(1, max_nodes))
-    ug = UGraph(n)
     node = st.integers(0, n - 1)
-    for u, v in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
-        if u != v:
-            ug.add_edge(u, v)
-    return ug
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return ugraph(n, [(u, v) for u, v in pairs if u != v])
 
 
 def make_digraph(slugs, arcs):
@@ -44,11 +62,10 @@ def make_digraph(slugs, arcs):
 
 
 def make_ugraph(slugs, edges):
-    ug = UGraph(len(slugs))
+    """ugraph over the named nodes; an edge end is a slug or a node id."""
     index = {slug: v for v, slug in enumerate(slugs)}
-    for u, v in edges:
-        ug.add_edge(index[u] if isinstance(u, str) else u, index[v] if isinstance(v, str) else v)
-    return ug
+    ends = [tuple(index[w] if isinstance(w, str) else w for w in edge) for edge in edges]
+    return ugraph(len(slugs), ends)
 
 
 def weights_by_slug(g: DiGraph) -> dict[tuple[str, str], int]:
@@ -66,7 +83,7 @@ def digraph_from_ugraph(ug: UGraph) -> DiGraph:
     is node order.
     """
     width = len(str(ug.node_count - 1))
-    g = DiGraph([f"v{i:0{width}d}" for i in ug.node_ids()])
+    g = DiGraph([f"v{i:0{width}d}" for i in range(ug.node_count)])
     for u, v in ug.edges():
         g.add_edge(u, v)
     return g
@@ -91,10 +108,7 @@ def random_ugraph(rng: random.Random, n: int, m: int | None = None) -> UGraph:
     pairs = list(combinations(range(n), 2))
     if m is None:
         m = rng.randint(1, len(pairs))
-    ug = UGraph(n)
-    for u, v in rng.sample(pairs, m):
-        ug.add_edge(u, v)
-    return ug
+    return ugraph(n, rng.sample(pairs, m))
 
 
 def random_digraph(rng: random.Random, n: int, arcs: int) -> DiGraph:
@@ -117,7 +131,7 @@ def brute_force_betweenness(ug: UGraph) -> list[float]:
     implementation under test but shares no code with it.
     """
     n = ug.node_count
-    adj = [sorted(nbrs) for nbrs in ug.adjacency()]
+    adj = [sorted(nbrs) for nbrs in ug.adj]
     acc = [0.0] * n
     for s, t in combinations(range(n), 2):
         paths = _all_simple_paths(adj, s, t)
@@ -157,7 +171,7 @@ def reference_betweenness(ug: UGraph) -> list[float]:
     under test, which recognizes predecessors by distance instead.
     """
     n = ug.node_count
-    adj = [sorted(nbrs) for nbrs in ug.adjacency()]
+    adj = [sorted(nbrs) for nbrs in ug.adj]
     raw = [0.0] * n
     for s in range(n):
         stack: list[int] = []
@@ -211,7 +225,7 @@ def reference_average_path_length(ug: UGraph) -> float:
     its own.
     """
     n = ug.node_count
-    adj = ug.adjacency()
+    adj = ug.adj
     dists = [reference_bfs(adj, s)[1] for s in range(n)]
     components = {frozenset(v for v, d in enumerate(row) if d >= 0) for row in dists}
     largest = max(components, key=lambda c: (len(c), -min(c)))
@@ -227,7 +241,7 @@ def reference_harmonic_closeness(ug: UGraph) -> list[float]:
     n = ug.node_count
     if n < 2:
         return [0.0] * n
-    adj = ug.adjacency()
+    adj = ug.adj
     scores = []
     for source in range(n):
         order, dist = reference_bfs(adj, source)
@@ -251,15 +265,15 @@ def union_find_components(ug: UGraph) -> set[frozenset[int]]:
     for u, v in ug.edges():
         parent[find(u)] = find(v)
     groups: dict[int, set[int]] = {}
-    for v in ug.node_ids():
+    for v in range(ug.node_count):
         groups.setdefault(find(v), set()).add(v)
     return {frozenset(g) for g in groups.values()}
 
 
 def brute_force_phi(ug: UGraph, k: int) -> float | None:
     """Rich-club coefficient by direct recount of the induced subgraph."""
-    adj = ug.adjacency()
-    rich = [v for v in ug.node_ids() if len(adj[v]) > k]
+    adj = ug.adj
+    rich = [v for v in range(ug.node_count) if len(adj[v]) > k]
     if len(rich) < 2:
         return None
     internal = sum(1 for u, v in combinations(rich, 2) if v in adj[u])
@@ -296,7 +310,7 @@ def brute_force_best_partition(ug: UGraph) -> tuple[tuple[int, ...], float]:
     m = ug.edge_count
     if m == 0:
         raise DegenerateGraphError("modularity is undefined without edges")
-    deg = [ug.degree(v) for v in range(n)]
+    deg = [len(nbrs) for nbrs in ug.adj]
     edges = list(ug.edges())
     two_m = 2.0 * m
     best_q = -float("inf")
@@ -322,9 +336,9 @@ def brute_force_best_partition(ug: UGraph) -> tuple[tuple[int, ...], float]:
 
 # -- reference generators --------------------------------------------------------
 # The null-model generators as they were before their random draws were
-# inlined, kept verbatim but for edge tests on a local adjacency: the
-# library versions must make the same draws and so give edge-for-edge
-# equal graphs.
+# inlined, kept verbatim but for edge tests on a local adjacency and for
+# building their results through ugraph, which checks them: the library
+# versions must make the same draws and so give equal neighbour sets.
 
 
 def reference_erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
@@ -335,27 +349,25 @@ def reference_erdos_renyi_gnm(n: int, m: int, seed: int) -> UGraph:
     if m < 0:
         raise ValueError("m must be non-negative")
     rng = random.Random(seed)
-    ug = UGraph(n)
+    if n < 1:
+        raise LexnetError("a graph needs at least one node")
     if m == 0:
-        return ug
+        return ugraph(n, [])
     if max_edges <= 4 * m:
         # dense request: sample directly from the materialized pair list
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for u, v in rng.sample(pairs, m):
-            ug.add_edge(u, v)
-        return ug
+        return ugraph(n, rng.sample(pairs, m))
     adj = [set() for _ in range(n)]
-    added = 0
-    while added < m:
+    edges = []
+    while len(edges) < m:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v or v in adj[u]:
             continue
         adj[u].add(v)
         adj[v].add(u)
-        ug.add_edge(u, v)
-        added += 1
-    return ug
+        edges.append((u, v))
+    return ugraph(n, edges)
 
 
 def reference_watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
@@ -391,12 +403,7 @@ def reference_watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph
             adj[old].discard(i)
             adj[i].add(w)
             adj[w].add(i)
-    ug = UGraph(n)
-    for u in range(n):
-        for v in adj[u]:
-            if u < v:
-                ug.add_edge(u, v)
-    return ug
+    return ugraph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 def reference_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
@@ -411,7 +418,7 @@ def reference_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
         raise TooFewEdgesError(f"rewiring needs at least 2 edges, got {m}")
     rng = random.Random(seed)
     edges = list(ug.edges())
-    adj = ug.adjacency()
+    adj = [set(nbrs) for nbrs in ug.adj]
     for _ in range(swap_attempts):
         i = rng.randrange(m)
         j = rng.randrange(m - 1)
@@ -436,10 +443,7 @@ def reference_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
         adj[b].add(c)
         edges[i] = (a, d) if a < d else (d, a)
         edges[j] = (c, b) if c < b else (b, c)
-    result = UGraph(ug.node_count)
-    for u, v in edges:
-        result.add_edge(u, v)
-    return result
+    return ugraph(ug.node_count, edges)
 
 
 # -- reference kernels ----------------------------------------------------------
@@ -463,7 +467,7 @@ def reference_normalize_text(text: str) -> str:
 
 def reference_triangles_per_node(ug: UGraph) -> list[int]:
     """Triangles per node by testing every sorted neighbor pair of a copy."""
-    adj = ug.adjacency()
+    adj = ug.adj
     counts = [0] * ug.node_count
     for v in range(ug.node_count):
         nbrs = sorted(adj[v])
@@ -480,7 +484,7 @@ def reference_triangles_per_node(ug: UGraph) -> list[int]:
 def reference_transitivity(ug: UGraph) -> float:
     """3 * triangles / connected triples, over reference_triangles_per_node."""
     triangle_total = sum(reference_triangles_per_node(ug)) // 3
-    triples = sum(d * (d - 1) // 2 for d in map(ug.degree, ug.node_ids()))
+    triples = sum(d * (d - 1) // 2 for d in map(len, ug.adj))
     return 3.0 * triangle_total / triples if triples else 0.0
 
 
@@ -509,7 +513,7 @@ def reference_cnm_trace(ug: UGraph) -> CnmTrace:
     nbr: dict[int, dict[int, int]] = {}
     q = 0.0
     for v in range(n):
-        d = ug.degree(v)
+        d = len(ug.adj[v])
         comm_deg[v] = d
         label[v] = v
         nbr[v] = {}
@@ -634,7 +638,7 @@ def assess(g: DiGraph, club, samples: int, seed: int, **config):
 
 
 def degree_multiset(ug: UGraph) -> list[int]:
-    return sorted(ug.degree(v) for v in ug.node_ids())
+    return sorted(map(len, ug.adj))
 
 
 @pytest.fixture(scope="session")

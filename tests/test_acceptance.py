@@ -98,12 +98,12 @@ def test_criterion_2_rich_club_coefficient_oracle():
     ok = True
     for _ in range(100):
         ug = random_ugraph(rng, rng.randint(2, 12))
-        max_deg = max(ug.degree(v) for v in ug.node_ids())
+        max_deg = max(map(len, ug.adj))
         table = phi_table(ug)
         for k in range(max_deg + 2):
             expected = brute_force_phi(ug, k)
             actual = table.get(k)
-            qualifying = sum(1 for v in ug.node_ids() if ug.degree(v) > k)
+            qualifying = sum(1 for nbrs in ug.adj if len(nbrs) > k)
             if qualifying < 2:
                 ok = ok and actual is None and expected is None
             else:
@@ -125,7 +125,7 @@ def test_criterion_3_null_model_invariants():
             ug, 10 * ug.edge_count, seed=rng.randrange(10**9)
         )
         ok = ok and degree_multiset(rewired) == degree_multiset(ug)
-        ok = ok and all(rewired.degree(v) == ug.degree(v) for v in ug.node_ids())
+        ok = ok and list(map(len, rewired.adj)) == list(map(len, ug.adj))
     for seed in range(200):
         ok = ok and erdos_renyi_gnm(12, 17, seed).edge_count == 17
         ok = ok and erdos_renyi_gnm(6, 15, seed).edge_count == 15

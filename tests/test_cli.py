@@ -444,6 +444,8 @@ class TestExitCodes:
             pytest.param('{"k_citing": true}', "k_citing", id="count-true"),
             pytest.param('{"seed": true}', "seed", id="seed-true"),
             pytest.param('{"seed": ' + "7" * 5000 + "}", "config file", id="integer-too-long"),
+            pytest.param('{"degree_fraction": 1' + "0" * 400 + "}", "degree_fraction",
+                         id="integer-past-float-range"),
         ],
     )
     def test_bad_config_file_value(self, extracted, tmp_path, capsys, text, key):
@@ -458,6 +460,17 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"lexnet: configuration error: {key} ")
         assert not out.exists()
+
+    def test_integral_float_value_is_read_as_a_float(self, extracted, tmp_path):
+        # the provenance prints 1 and 1.0 alike, so they must digest alike
+        edges, nodes = extracted
+        config = tmp_path / "config.json"
+        config.write_text('{"ws_p": 1}', encoding="utf-8")
+        graph = ["--edges", str(edges), "--nodes", str(nodes), "--null-samples", "2"]
+        from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        assert run(["nulls", *graph, "--config", str(config), "--out", str(from_file)]) == 0
+        assert run(["nulls", *graph, "--ws-p", "1", "--out", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
 
     @pytest.mark.parametrize(("keys", "value", "path"), REPORT_DEFECTS)
     def test_malformed_report_on_export(
@@ -562,39 +575,10 @@ _BAD_VALUES = [True, False, float("nan"), float("inf"), -1, 0, "2", None]
 _CONFIG_KEYS = [*PipelineConfig._fields, "unknown_key"]
 _REPORT_COMMANDS = ["analyze", "richclub", "communities", "nulls"]
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
-_SLUGS = st.tuples(st.sampled_from(_SLUG_HEADS), st.text(alphabet=_SLUG_TAIL, max_size=3)).map("".join)
 
 
-@st.composite
-def _cli_inputs(draw):
-    small = draw(st.integers(0, 3)) == 3
-    pool = draw(st.lists(_SLUGS, min_size=3 if small else 6, max_size=5 if small else 12,
-                         unique_by=str.strip))
-    index = st.integers(0, len(pool) - 1)
-    pairs = st.tuples(index, index).filter(lambda pair: pair[0] != pair[1])
-    arcs = draw(st.lists(st.tuples(pairs, st.integers(1, 3)), min_size=4 if small else 8,
-                         max_size=20))
-    records = [f"{pool[i]}\t{pool[j]}\t{count}" for (i, j), count in arcs]
-    if draw(st.integers(0, 3)) == 3:
-        records.append(draw(st.sampled_from(_BAD_RECORDS)))
-    sidecar = draw(st.none() | st.lists(_SLUGS | st.just("#x"), max_size=3))
-    config = {
-        "null_samples": draw(st.integers(1, 2)),
-        "rewire_budget_factor": draw(st.integers(1, 2)),
-        "k_citing": draw(st.integers(1, 3)),
-        "k_cited": draw(st.integers(1, 3)),
-        "seed": draw(st.integers(-3, 3)),
-        "ws_p": draw(st.floats(0.0, 1.0)),
-    }
-    if draw(st.integers(0, 3)) == 3:
-        config[draw(st.sampled_from(_CONFIG_KEYS))] = draw(st.sampled_from(_BAD_VALUES))
-    command = draw(st.sampled_from(_REPORT_COMMANDS))
-    return command, records, sidecar, json.dumps(config)
-
-
-def _seeded_cli_case(seed: int):
-    """A case of the same shape as _cli_inputs draws, from random.Random(seed)."""
-    rng = random.Random(seed)
+def _seeded_cli_case(rng: random.Random):
+    """One case drawn from rng: (command, edge-list records, sidecar or None, config text)."""
 
     def slug():
         return rng.choice(_SLUG_HEADS) + "".join(rng.choices(_SLUG_TAIL, k=rng.randint(0, 3)))
@@ -666,11 +650,13 @@ def _run_cli_case(inputs) -> int:
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_cli_inputs())
-def test_any_input_gives_a_report_or_a_documented_exit(inputs):
-    # Hypothesis finds and shrinks failures, but its examples shift with
-    # unrelated edits, since it mixes in constants from loaded modules
-    _run_cli_case(inputs)
+@given(st.randoms(use_true_random=True))
+def test_any_input_gives_a_report_or_a_documented_exit(rng):
+    # 200 more cases from the one generator, on Random instances Hypothesis
+    # seeds; its examples shift with unrelated edits, since it mixes in
+    # constants from loaded modules. Not an artificial Random: its all-zero
+    # base case draws the same slug forever, so the slug pool never fills
+    _run_cli_case(_seeded_cli_case(rng))
 
 
 # Cases drawn from random.Random(seed) for seeds 0..199: the same cases on
@@ -681,7 +667,7 @@ SEEDED_CLI_CASES = 200
 
 def test_seeded_inputs_give_a_report_or_a_documented_exit():
     for seed in range(SEEDED_CLI_CASES):
-        inputs = _seeded_cli_case(seed)
+        inputs = _seeded_cli_case(random.Random(seed))
         try:
             _run_cli_case(inputs)
         except AssertionError as exc:

@@ -28,6 +28,7 @@ from conftest import (
     random_ugraph,
     reference_cnm_trace,
     restricted_growth_strings,
+    ugraph,
     ugraphs,
 )
 
@@ -57,10 +58,8 @@ class TestModularity:
         assert q == pytest.approx(-1 / 3, abs=1e-15)
 
     def test_empty_graph(self):
-        from lexnet.graph import UGraph
-
         with pytest.raises(DegenerateGraphError, match="modularity is undefined without edges"):
-            modularity(UGraph(2), [0, 0])
+            modularity(UGraph([set(), set()]), [0, 0])
 
     def test_partial_assignment(self):
         ug = make_ugraph("abc", [("a", "b")])
@@ -160,11 +159,9 @@ class TestCnm:
             assert cnm_communities(relabeled).q <= q_star_2 + 1e-12
 
     def test_empty_graph(self):
-        from lexnet.graph import UGraph
-
         with pytest.raises(DegenerateGraphError,
                            match="community detection needs at least one edge"):
-            cnm_communities(UGraph(2))
+            cnm_communities(UGraph([set(), set()]))
 
 
 # Zachary's karate club (public-domain classic); greedy agglomeration is
@@ -201,11 +198,7 @@ KARATE_EDGES = [
 
 
 def test_cnm_reproduces_karate_club_result():
-    from lexnet.graph import UGraph
-
-    ug = UGraph(34)
-    for u, v in KARATE_EDGES:
-        ug.add_edge(u, v)
+    ug = ugraph(34, KARATE_EDGES)
     assert ug.edge_count == 78
     partition = cnm_communities(ug)
     assert partition.q == pytest.approx(0.3807, abs=5e-5)
@@ -216,13 +209,6 @@ def test_cnm_reproduces_karate_club_result():
     assert sizes == [17, 9, 8]
 
 
-def _ugraph(n, edges):
-    ug = UGraph(n)
-    for u, v in edges:
-        ug.add_edge(u, v)
-    return ug
-
-
 def _tie_heavy_graphs():
     """Regular and symmetric shapes where many pairs share one gain, by name."""
     grid = [(r * 12 + c, r * 12 + c + 1) for r in range(12) for c in range(11)]
@@ -231,13 +217,13 @@ def _tie_heavy_graphs():
     cliques += [(6 * i + 5, 6 * i + 6) for i in range(5)]
     return {
         "ring_lattice": watts_strogatz(60, 4, 0.0, seed=0),
-        "star": _ugraph(41, [(0, v) for v in range(1, 41)]),
-        "path": _ugraph(60, [(v, v + 1) for v in range(59)]),
-        "complete": _ugraph(15, [(u, v) for u in range(15) for v in range(u + 1, 15)]),
-        "grid": _ugraph(144, grid),
-        "bipartite": _ugraph(40, [(u, v) for u in range(20) for v in range(20, 40)]),
-        "clique_chain": _ugraph(36, cliques),
-        "karate": _ugraph(34, KARATE_EDGES),
+        "star": ugraph(41, [(0, v) for v in range(1, 41)]),
+        "path": ugraph(60, [(v, v + 1) for v in range(59)]),
+        "complete": ugraph(15, [(u, v) for u in range(15) for v in range(u + 1, 15)]),
+        "grid": ugraph(144, grid),
+        "bipartite": ugraph(40, [(u, v) for u in range(20) for v in range(20, 40)]),
+        "clique_chain": ugraph(36, cliques),
+        "karate": ugraph(34, KARATE_EDGES),
     }
 
 
@@ -245,11 +231,11 @@ def _split_graphs():
     """Graphs with isolated nodes and several components, by name."""
     triangles = [(3 * i + a, 3 * i + b) for i in range(5) for a, b in [(0, 1), (1, 2), (0, 2)]]
     return {
-        "triangles_and_isolated": _ugraph(20, triangles),
-        "isolated_first": _ugraph(6, [(1, 2), (2, 3), (4, 5)]),
-        "pairs": _ugraph(10, [(v, v + 1) for v in range(0, 10, 2)]),
+        "triangles_and_isolated": ugraph(20, triangles),
+        "isolated_first": ugraph(6, [(1, 2), (2, 3), (4, 5)]),
+        "pairs": ugraph(10, [(v, v + 1) for v in range(0, 10, 2)]),
         "sparse_random": random_ugraph(random.Random(83), 200, 120),
-        "paths_and_stars": _ugraph(30, [(v, v + 1) for v in range(9)]
+        "paths_and_stars": ugraph(30, [(v, v + 1) for v in range(9)]
                                    + [(10, v) for v in range(11, 20)] + [(25, 26)]),
     }
 

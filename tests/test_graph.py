@@ -16,6 +16,7 @@ from conftest import (
     random_digraph,
     random_ugraph,
     reference_bfs,
+    ugraph,
     ugraphs,
     union_find_components,
 )
@@ -52,6 +53,7 @@ class TestAddEdge:
         g.add_edge(0, 1, 2)
         assert list(g.arcs()) == [(0, 1, 3)]
         assert g.arc_count == 1
+        assert g.in_degree(1) == 1
 
     def test_self_loop_rejected(self):
         g = DiGraph(["a", "b"])
@@ -70,6 +72,38 @@ class TestAddEdge:
         g = DiGraph(["a", "b"])
         with pytest.raises(LexnetError, match=r"node id 5 outside 0\.\.1"):
             g.add_edge(0, 5)
+
+
+class TestUGraph:
+    def test_wraps_its_neighbour_sets(self):
+        adj = [{1, 2}, {0}, {0}]
+        ug = UGraph(adj)
+        assert ug.adj is adj
+        assert (ug.node_count, ug.edge_count) == (3, 2)
+        assert list(ug.edges()) == [(0, 1), (0, 2)]
+
+    def test_hand_built_graph_counts_a_repeated_edge_once(self):
+        ug = ugraph(3, [(2, 1), (1, 2), (0, 1), (1, 2)])
+        assert ug.adj == [{1}, {0, 2}, {1}]
+        assert list(ug.edges()) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize(("n", "edges", "message"), [
+        (2, [(0, 1), (1, 1)], "self-loop on node 1"),
+        (2, [(0, 2)], r"node id 2 outside 0\.\.1"),
+        (2, [(-1, 0)], r"node id -1 outside 0\.\.1"),
+        (2, [(0, 1.0)], r"node id 1\.0 outside 0\.\.1"),
+        (0, [], "a graph needs at least one node"),
+    ])
+    def test_hand_built_graph_rejects(self, n, edges, message):
+        with pytest.raises(LexnetError, match=message):
+            ugraph(n, edges)
+
+    def test_projection_is_the_checked_graph_of_its_arcs(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            g = random_digraph(rng, rng.randint(1, 12), rng.randint(0, 40))
+            want = ugraph(g.node_count, [(s, t) for s, t, _ in g.arcs()])
+            assert g.undirected_projection().adj == want.adj
 
 
 class TestDegrees:
@@ -199,7 +233,7 @@ def _components(ug):
     Nodes are grouped by their mask, and each mask must hold exactly the
     nodes that carry it.
     """
-    _, reach = distance_counts(ug.adjacency())
+    _, reach = distance_counts(ug.adj)
     holders: dict[int, list[int]] = {}
     for v, mask in enumerate(reach):
         holders.setdefault(mask, []).append(v)
@@ -249,10 +283,9 @@ class TestComponents:
 
 def _histograms(ug):
     """Per node, the number of nodes at distance 1, 2, ... by one search each."""
-    adj = ug.adjacency()
     rows = []
-    for source in ug.node_ids():
-        dist = reference_bfs(adj, source)[1]
+    for source in range(ug.node_count):
+        dist = reference_bfs(ug.adj, source)[1]
         rows.append([dist.count(d) for d in range(1, max(dist) + 1)])
     return rows
 
@@ -266,16 +299,16 @@ class TestBfs:
 
     def test_path(self):
         ug = make_ugraph("abc", [("a", "b"), ("b", "c")])
-        assert distance_counts(ug.adjacency()) == ([[1, 1], [2], [1, 1]], [0b111] * 3)
+        assert distance_counts(ug.adj) == ([[1, 1], [2], [1, 1]], [0b111] * 3)
 
     def test_isolated_source(self):
         ug = make_ugraph("abc", [("a", "b")])
-        counts, reach = distance_counts(ug.adjacency())
+        counts, reach = distance_counts(ug.adj)
         assert counts[2] == [] and reach[2] == 0b100
         assert counts[0] == counts[1] == [1] and reach[0] == reach[1] == 0b011
 
     def test_bridge_fixture_from_a(self, bridge_ugraph):
-        counts, reach = distance_counts(bridge_ugraph.adjacency())
+        counts, reach = distance_counts(bridge_ugraph.adj)
         # from a: b, c at 1; d at 2; e, f at 3
         assert counts[0] == [2, 1, 2]
         assert set(reach) == {0b111111}
@@ -286,7 +319,7 @@ class TestBfs:
         for _ in range(20):
             g = random_digraph(rng, 9, rng.randint(2, 18))
             ug = g.undirected_projection()
-            counts, reach = distance_counts(ug.adjacency())
+            counts, reach = distance_counts(ug.adj)
             for u, v in ug.edges():
                 assert reach[u] == reach[v]
                 assert abs(len(counts[u]) - len(counts[v])) <= 1
@@ -296,18 +329,17 @@ class TestBfs:
         for _ in range(30):
             n = rng.randint(2, 40)
             ug = random_ugraph(rng, n, rng.randint(1, min(2 * n, n * (n - 1) // 2)))
-            counts, reach = distance_counts(ug.adjacency())
+            counts, reach = distance_counts(ug.adj)
             assert counts == _histograms(ug)
             component = {v: c for c in union_find_components(ug) for v in c}
-            assert reach == [_mask(component[v]) for v in ug.node_ids()]
+            assert reach == [_mask(component[v]) for v in range(ug.node_count)]
 
     @given(ugraphs())
     @settings(max_examples=200, derandomize=True)
     def test_matches_per_source_search_property(self, ug):
-        counts, reach = distance_counts(ug.adjacency())
+        counts, reach = distance_counts(ug.adj)
         assert counts == _histograms(ug)
-        adj = ug.adjacency()
-        assert reach == [_mask(reference_bfs(adj, v)[0]) for v in ug.node_ids()]
+        assert reach == [_mask(reference_bfs(ug.adj, v)[0]) for v in range(ug.node_count)]
 
 
 def test_digraph_from_ugraph_one_arc_per_edge(bridge_ugraph):
@@ -320,7 +352,7 @@ def test_digraph_from_ugraph_one_arc_per_edge(bridge_ugraph):
 @pytest.mark.parametrize("n", [1, 10, 11, 101])
 def test_digraph_from_ugraph_slugs_sort_in_node_order(n):
     # rank ties among baseline nodes are broken by slug, so slug order must be id order
-    g = digraph_from_ugraph(UGraph(n))
+    g = digraph_from_ugraph(ugraph(n, []))
     slugs = [g.slug(v) for v in g.node_ids()]
     assert slugs == sorted(slugs)
     assert slugs[-1] == f"v{n - 1}"

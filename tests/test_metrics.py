@@ -245,7 +245,7 @@ class TestRichClubCoefficient:
         rng = random.Random(41)
         for _ in range(30):
             ug = random_ugraph(rng, rng.randint(3, 10))
-            max_deg = max(ug.degree(v) for v in ug.node_ids())
+            max_deg = max(map(len, ug.adj))
             table = phi_table(ug)
             for k in range(max_deg + 2):  # past the maximum degree phi is undefined
                 expected = brute_force_phi(ug, k)
@@ -271,7 +271,7 @@ class TestRichClubCoefficient:
 class TestPhiTable:
     @staticmethod
     def per_k(ug):
-        max_deg = max(ug.degree(v) for v in ug.node_ids())
+        max_deg = max(map(len, ug.adj))
         return {k: brute_force_phi(ug, k) for k in range(max_deg + 1)}
 
     # 2.0 * e / (n (n - 1)) and the recount's e / (n (n - 1) / 2) round
@@ -382,7 +382,7 @@ class TestPathLength:
         from lexnet.graph import UGraph
 
         with pytest.raises(DegenerateGraphError):
-            average_path_length(UGraph(1))
+            average_path_length(UGraph([set()]))
 
     def test_tied_largest_components_pick_the_smallest_node(self):
         # a-b-c-d (mean 5/3) and a star on e (mean 3/2): both have 4 nodes

@@ -55,7 +55,7 @@ class TestErdosRenyi:
     def test_maximal_m_is_complete(self):
         ug = erdos_renyi_gnm(5, 10, seed=1)
         assert ug.edge_count == 10
-        assert all(ug.degree(v) == 4 for v in ug.node_ids())
+        assert all(len(nbrs) == 4 for nbrs in ug.adj)
 
     def test_zero_edges(self):
         assert erdos_renyi_gnm(5, 0, seed=1).edge_count == 0
@@ -87,7 +87,7 @@ class TestWattsStrogatz:
     def test_full_rewiring_preserves_edge_count(self):
         ug = watts_strogatz(20, 4, 1.0, seed=3)
         assert ug.edge_count == 20 * 4 // 2
-        assert sum(ug.degree(v) for v in ug.node_ids()) == 20 * 4
+        assert sum(map(len, ug.adj)) == 20 * 4
 
     def test_cycle_is_triangle_free(self):
         ug = watts_strogatz(6, 2, 0.0, seed=0)
@@ -119,8 +119,7 @@ class TestRewire:
             if ug.edge_count < 2:
                 continue
             rewired = degree_preserving_rewire(ug, 10 * ug.edge_count, seed=rng.randrange(10**6))
-            for v in ug.node_ids():
-                assert rewired.degree(v) == ug.degree(v)
+            assert list(map(len, rewired.adj)) == list(map(len, ug.adj))
             assert rewired.edge_count == ug.edge_count
 
     def test_complete_graph_unchanged(self):
@@ -164,9 +163,9 @@ def _inline_randbelow(rng: random.Random, n: int) -> int:
 
 
 def _same_graph(got, want) -> None:
-    assert got.node_count == want.node_count
-    assert got.edge_count == want.edge_count
-    assert list(got.edges()) == list(want.edges())
+    # want is built through ugraph, so it is symmetric and loop-free; an
+    # adjacency that is not fails here even where its edges() would agree
+    assert got.adj == want.adj
 
 
 _POWER_BOUNDS = sorted({2**k + d for k in range(1, 70) for d in (-1, 0, 1)})
