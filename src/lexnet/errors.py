@@ -1,9 +1,8 @@
 """Exception types raised across the toolkit.
 
-A class exists only where the program acts on it: one per exit code, the
-three rich-club fallbacks that ``club_cohesion`` catches, and two that
-carry a field callers read. Every other failure is a plain LexnetError
-whose message names what went wrong.
+A class exists only where the program acts on it: one per exit code and
+two that carry a field callers read. Every other failure is a plain
+LexnetError whose message names what went wrong.
 """
 
 
@@ -27,20 +26,6 @@ class DegenerateGraphError(LexnetError):
     """The graph is too small or too sparse for the requested statistic."""
 
     exit_code = 4
-
-
-# -- rich-club fallbacks: club_cohesion reports "not validated" ---------------
-
-class UndefinedCoefficientError(LexnetError):
-    """The rich-club coefficient is undefined for the requested threshold."""
-
-
-class NullModelDegenerateError(LexnetError):
-    """The null-model mean is zero, so normalization is impossible."""
-
-
-class TooFewEdgesError(LexnetError):
-    """Degree-preserving rewiring needs at least two edges."""
 
 
 # -- errors that carry a field ------------------------------------------------

@@ -2,15 +2,25 @@
 
 Inputs are read as UTF-8 without a leading byte-order mark; the registry,
 edge list and node sidecar share one TSV line reader, which rejects a
-mark anywhere else. An output goes to a temp file renamed over the target.
+mark anywhere else and the characters XML cannot carry. An output goes
+to a temp file renamed over the target.
 """
 
 import contextlib
 import os
+import re
 from pathlib import Path
 from typing import Iterator
 
 from .errors import LexnetError, MalformedLineError
+
+# The characters XML 1.0 cannot carry, not even as character references: a
+# slug holding one would make a GraphML export that does not parse.
+# splitlines() already ends a line at U+000B, U+000C and U+001C-U+001E.
+# A class reaching past U+00FF compiles to a table over the whole BMP
+# (about 0.7 ms on CPython 3.11), so the first reader compiles the pattern
+# and re caches it; a command that reads no TSV does not pay for it.
+_NOT_XML = r"[\x00-\x08\x0e-\x1f\ufffe\uffff]"
 
 
 def read_text(path: str) -> str:
@@ -29,14 +39,19 @@ def tsv_records(content: str, width: int, where: str = "line") -> Iterator[tuple
     Blank lines and lines starting with ``#`` are skipped. A record line
     must hold exactly ``width`` tab-separated fields and no U+FEFF: a mark
     inside a file is invisible, and in a slug it would name another node.
-    Each MalformedLineError names the line as ``{where} N``.
+    Nor may it hold a character XML cannot carry (``_NOT_XML``). Each
+    MalformedLineError names the line as ``{where} N``.
     """
+    not_xml = re.compile(_NOT_XML)
     for lineno, raw in enumerate(content.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "\ufeff" in raw:
             raise MalformedLineError(lineno, "byte-order mark (U+FEFF) inside the file", where)
+        bad = not_xml.search(raw)
+        if bad:
+            raise MalformedLineError(lineno, f"character U+{ord(bad[0]):04X} not allowed", where)
         fields = raw.split("\t")
         if len(fields) != width:
             noun = "field" if width == 1 else "fields"

@@ -9,16 +9,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    DegenerateGraphError,
-    LexnetError,
-    NullModelDegenerateError,
-    UndefinedCoefficientError,
-)
+from .errors import DegenerateGraphError, LexnetError
 from .graph import DiGraph, NodeId, UGraph, distance_counts
-from .seeding import derive_seed
 
 
 class Role(str, Enum):
@@ -211,31 +205,23 @@ class NormalizedPhi(NamedTuple):
     sample_stddev: float
 
 
-def normalized_rich_club(
-    ug: UGraph, k: int, samples: int, seed: int, swap_factor: int
-) -> NormalizedPhi:
-    """phi(k) normalized by its mean over degree-preserving rewirings.
+def normalized_rich_club(ug: UGraph, k: int, nulls: Iterable[UGraph]) -> NormalizedPhi | None:
+    """phi(k) normalized by its mean over null graphs of the same degrees.
 
-    Each null sample applies ``swap_factor * edge_count`` attempted double
-    edge swaps under a seed derived from (seed, sample index), so results
-    are reproducible and samples are independent of evaluation order.
+    The nulls (degree-preserving rewirings of ug) are read one at a time,
+    so only one is held. None when phi(k) is undefined or the null mean of
+    phi(k) is zero; an empty ``nulls`` raises ValueError.
     """
-    from .nullmodels import degree_preserving_rewire
-
     phi = phi_table(ug).get(k)
     if phi is None:
-        raise UndefinedCoefficientError(f"phi({k}) undefined: fewer than 2 nodes exceed degree {k}")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    attempts = swap_factor * ug.edge_count
-    values = []
-    for i in range(samples):
-        null = degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
-        # a rewiring keeps every degree, so n_k and with it phi(k) stay defined
-        values.append(phi_table(null)[k])
+        return None
+    # a rewiring keeps every degree, so n_k and with it phi(k) stay defined
+    values = [phi_table(null)[k] for null in nulls]
+    if not values:
+        raise ValueError("nulls must hold at least one graph")
     mean, stddev = mean_std(values)
     if mean == 0.0:
-        raise NullModelDegenerateError(f"null-model mean of phi({k}) is zero")
+        return None
     return NormalizedPhi(phi, mean, phi / mean, stddev)
 
 

@@ -11,13 +11,7 @@ import random
 from typing import Iterable, NamedTuple
 
 from .config import PipelineConfig
-from .errors import (
-    DegenerateGraphError,
-    LexnetError,
-    NullModelDegenerateError,
-    TooFewEdgesError,
-    UndefinedCoefficientError,
-)
+from .errors import DegenerateGraphError, LexnetError
 from .graph import DiGraph, UGraph
 from .metrics import (
     RichClub,
@@ -132,8 +126,8 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
     its edges.
     """
     m = ug.edge_count
-    if m < 2:
-        raise TooFewEdgesError(f"rewiring needs at least 2 edges, got {m}")
+    if m < 2:  # the draw of a second, distinct edge would never end
+        raise LexnetError(f"rewiring needs at least 2 edges, got {m}")
     rng = random.Random(seed)
     random_ = rng.random
     getrandbits = rng.getrandbits
@@ -258,15 +252,19 @@ def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig
     coefficient is normalized over ``config.null_samples`` rewirings of
     ``config.rewire_budget_factor`` swap attempts per edge, seeded from
     the "phi-norm" stream of ``config.seed``. Returns
-    (validated, k, NormalizedPhi-or-None).
+    (validated, k, NormalizedPhi-or-None): None, and not validated, when
+    the graph has fewer than two edges to rewire, phi(k) is undefined or
+    its null mean is zero.
     """
     k = min(len(ug.adj[v]) for v in club.members)
+    attempts = config.rewire_budget_factor * ug.edge_count
     seed = derive_seed(config.seed, "phi-norm")
-    try:
-        norm = normalized_rich_club(
-            ug, k, config.null_samples, seed, config.rewire_budget_factor
-        )
-    except (UndefinedCoefficientError, NullModelDegenerateError, TooFewEdgesError):
+    nulls = (
+        degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
+        for i in range(config.null_samples)
+    )
+    norm = normalized_rich_club(ug, k, nulls) if ug.edge_count >= 2 else None
+    if norm is None:
         return False, k, None
     validated = club.internal_density > density(g) and norm.phi_norm > 1.0
     return validated, k, norm

@@ -84,14 +84,7 @@ def build_rich_club_section(
     validated, k_min, norm = cohesion
     normalized = None
     if norm is not None:
-        normalized = {
-            "k": k_min,
-            "phi": norm.phi,
-            "phi_null_mean": norm.phi_null_mean,
-            "phi_norm": norm.phi_norm,
-            "sample_stddev": norm.sample_stddev,
-            "samples": config.null_samples,
-        }
+        normalized = {"k": k_min, "samples": config.null_samples, **norm._asdict()}
     return {
         "members": sorted(g.slug(v) for v in club.members),
         "top_citing": [g.slug(v) for v in club.top_citing],

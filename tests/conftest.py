@@ -13,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lexnet.communities import CnmMerge, CnmTrace
-from lexnet.errors import DegenerateGraphError, LexnetError, TooFewEdgesError
+from lexnet.errors import DegenerateGraphError, LexnetError
 from lexnet.extraction import _APOSTROPHES, _LIGATURES
 from lexnet.graph import DiGraph, UGraph
 
@@ -415,7 +415,7 @@ def reference_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
     """
     m = ug.edge_count
     if m < 2:
-        raise TooFewEdgesError(f"rewiring needs at least 2 edges, got {m}")
+        raise LexnetError(f"rewiring needs at least 2 edges, got {m}")
     rng = random.Random(seed)
     edges = list(ug.edges())
     adj = [set(nbrs) for nbrs in ug.adj]
@@ -635,6 +635,21 @@ def assess(g: DiGraph, club, samples: int, seed: int, **config):
     ug = g.undirected_projection()
     present = club is not None and club_cohesion(g, ug, club, config)[0]
     return concentrated_world_assessment(g, ug, present, config)
+
+
+def rewirings(ug: UGraph, samples: int, seed: int, swap_factor: int = 10) -> Iterator[UGraph]:
+    """The null graphs club_cohesion feeds normalized_rich_club, drawn one at a time.
+
+    Sample i makes ``swap_factor * edge_count`` swap attempts under the
+    seed derived from (seed, "rewire:i"); club_cohesion passes the
+    "phi-norm" stream of its config seed.
+    """
+    from lexnet.nullmodels import degree_preserving_rewire
+    from lexnet.seeding import derive_seed
+
+    attempts = swap_factor * ug.edge_count
+    for i in range(samples):
+        yield degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
 
 
 def degree_multiset(ug: UGraph) -> list[int]:

@@ -324,9 +324,11 @@ def test_read_text_drops_only_a_leading_mark(tmp_path):
 
 
 class TestTsvLineRules:
-    """A U+FEFF past the start of a TSV input, or a tab in a sidecar line, exits 3 naming the line.
+    """A U+FEFF past the start of a TSV input, a character XML cannot carry, or a
+    tab in a sidecar line exits 3 naming the line.
 
-    Either would otherwise enter a slug that no other line can name.
+    A mark or a tab would otherwise enter a slug that no other line can
+    name; a control character, a slug no GraphML export can carry.
     """
 
     @pytest.fixture(autouse=True)
@@ -364,6 +366,25 @@ class TestTsvLineRules:
         files = {"edges.tsv": edges, "nodes.txt": nodes}
         assert self._run(files, self._ANALYZE) == (
             3, f"lexnet: {where}: byte-order mark (U+FEFF) inside the file\n")
+        assert not Path("report.json").exists()
+
+    def test_control_character_in_the_registry(self):
+        files = {"registry.tsv": "a\tA\tcode a\nb\x01\tB\tcode b\n",
+                 "corpus/a.txt": "le code b"}
+        assert self._run(files, self._EXTRACT) == (
+            3, "lexnet: line 2: character U+0001 not allowed\n")
+        assert not Path("edges.tsv").exists() and not Path("nodes.txt").exists()
+
+    @pytest.mark.parametrize(("edges", "nodes", "where", "char"), [
+        ("a\tb\t1\na\x01b\tc\t1\nc\ta\t1\n", "a\n", "line 2", "U+0001"),
+        (_EDGES, "a\nb\x1f\n", "node sidecar line 2", "U+001F"),
+        (_EDGES, "a\n\x00\n", "node sidecar line 2", "U+0000"),
+        ("a\tb\uffff\t1\n", "", "line 1", "U+FFFF"),
+    ], ids=["edge-list", "sidecar", "sidecar-nul", "edge-list-nonchar"])
+    def test_control_character_in_a_graph_input(self, edges, nodes, where, char):
+        files = {"edges.tsv": edges, "nodes.txt": nodes}
+        assert self._run(files, self._ANALYZE) == (
+            3, f"lexnet: {where}: character {char} not allowed\n")
         assert not Path("report.json").exists()
 
     def test_mark_in_a_comment_is_ignored(self):
@@ -859,9 +880,6 @@ _EXIT_CODES = {
     "LexnetError": 3,
     "ConfigError": 2,
     "DegenerateGraphError": 4,
-    "UndefinedCoefficientError": 3,
-    "NullModelDegenerateError": 3,
-    "TooFewEdgesError": 3,
     "MalformedLineError": 3,
     "SchemaViolationError": 3,
 }
@@ -950,6 +968,17 @@ def test_each_command_imports_what_it_runs(command, loads_analysis, extracted, f
     assert _ANALYSIS_MODULES & loaded == (_ANALYSIS_MODULES if loads_analysis else set())
     # the seed and config digests take CPython's own SHA-256, not OpenSSL's
     assert not {"hashlib", "_hashlib"} & loaded
+
+
+def test_normalized_rich_club_loads_no_null_model():
+    # the null graphs are an argument, so metrics draws none itself
+    code = ("import sys\n"
+            "from lexnet.graph import UGraph\n"
+            "from lexnet.metrics import normalized_rich_club\n"
+            "ug = UGraph([{1, 2}, {0, 2}, {0, 1}])\n"
+            "assert normalized_rich_club(ug, 1, iter([ug])) == (1.0, 1.0, 1.0, 0.0)\n"
+            "print(sorted({'lexnet.nullmodels', 'lexnet.seeding'} & set(sys.modules)))")
+    assert _fresh_python(["-c", code]) == "[]\n"
 
 
 @pytest.mark.parametrize(("argv", "code"), [

@@ -2,20 +2,22 @@
 
 import random
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lexnet.config import PipelineConfig
-from lexnet.errors import (
-    DegenerateGraphError,
-    LexnetError,
-    NullModelDegenerateError,
-    TooFewEdgesError,
-    UndefinedCoefficientError,
+from lexnet.errors import DegenerateGraphError, LexnetError
+from lexnet.graph import UGraph
+from lexnet.metrics import (
+    NormalizedPhi,
+    global_clustering,
+    normalized_rich_club,
+    phi_table,
+    rich_club_members,
 )
-from lexnet.metrics import global_clustering, normalized_rich_club, rich_club_members
 from lexnet.nullmodels import (
     club_cohesion,
     degree_preserving_rewire,
@@ -37,6 +39,7 @@ from conftest import (
     reference_erdos_renyi_gnm,
     reference_rewire,
     reference_watts_strogatz,
+    rewirings,
     ugraphs,
 )
 
@@ -143,7 +146,7 @@ class TestRewire:
 
     def test_too_few_edges(self):
         ug = make_ugraph("ab", [("a", "b")])
-        with pytest.raises(TooFewEdgesError):
+        with pytest.raises(LexnetError, match="rewiring needs at least 2 edges, got 1"):
             degree_preserving_rewire(ug, 10, seed=0)
 
     def test_deterministic(self):
@@ -200,7 +203,7 @@ _SAME_ERRORS = [
     ("ws", (10, 3, 0.1, 1), LexnetError, "lattice degree must be even"),
     ("ws", (10, 10, 0.1, 1), LexnetError, "lattice degree must be even"),
     ("ws", (10, 4, 1.5, 1), ValueError, "p must be in"),
-    ("rewire", (make_ugraph("ab", [("a", "b")]), 10, 1), TooFewEdgesError,
+    ("rewire", (make_ugraph("ab", [("a", "b")]), 10, 1), LexnetError,
      "rewiring needs at least 2 edges"),
 ]
 
@@ -282,13 +285,34 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+class _Normalized(NamedTuple):
+    samples: int  # the rewirings normalized_rich_club read
+    norm: NormalizedPhi | None
+
+
+def rewired_rich_club(ug: UGraph, k: int, samples: int, seed: int) -> _Normalized:
+    """normalized_rich_club over the rewirings club_cohesion would draw, counting them."""
+    read = 0
+
+    def nulls():
+        nonlocal read
+        for null in rewirings(ug, samples, seed):
+            read += 1
+            yield null
+
+    norm = normalized_rich_club(ug, k, nulls())
+    return _Normalized(read, norm)
+
+
 class TestBaselines:
-    @pytest.mark.parametrize(
-        ("baseline", "args"), [(er_baseline, (200, 800)), (ws_baseline, (200, 8, 0.1))]
-    )
-    def test_samples_are_held_one_at_a_time(self, baseline, args):
-        _, one = _traced_peak(baseline, *args, 1, 5)
-        stats, forty = _traced_peak(baseline, *args, 40, 5)
+    @pytest.mark.parametrize(("statistic", "args"), [
+        (er_baseline, (200, 800)),
+        (ws_baseline, (200, 8, 0.1)),
+        (rewired_rich_club, (erdos_renyi_gnm(200, 800, 1), 8)),
+    ])
+    def test_samples_are_held_one_at_a_time(self, statistic, args):
+        _, one = _traced_peak(statistic, *args, 1, 5)
+        stats, forty = _traced_peak(statistic, *args, 40, 5)
         assert stats.samples == 40
         assert forty < 2 * one
 
@@ -335,32 +359,36 @@ class TestAssessment:
         assert result.verdict != "concentrated_world"
 
 
-# One hand-built graph per error that club_cohesion treats as "cohesion not
+# One hand-built graph per reason club_cohesion reports "cohesion not
 # validated": (slugs, arcs, k_citing, k_cited, k of the club).
 _COHESION_FALLBACKS = {
     # a and d, the only nodes of degree 2, are adjacent (phi(1) = 1) but not
     # in the one rewired sample, so the null mean of phi(1) is zero
-    NullModelDegenerateError: (
-        "abcdefg", [("a", "b"), ("a", "d"), ("c", "g"), ("d", "e")], 1, 1, 1,
-    ),
+    "null-mean-zero": ("abcdefg", [("a", "b"), ("a", "d"), ("c", "g"), ("d", "e")], 1, 1, 1),
     # the hub h is the only node of degree > 1, so phi(1) is undefined
-    UndefinedCoefficientError: ("habc", [("h", "a"), ("h", "b"), ("h", "c")], 1, 1, 1),
+    "phi-undefined": ("habc", [("h", "a"), ("h", "b"), ("h", "c")], 1, 1, 1),
     # the isolated member a puts k at 0; phi(0) is defined, but one edge
     # cannot be rewired
-    TooFewEdgesError: ("abc", [("b", "c")], 1, 2, 0),
+    "too-few-edges": ("abc", [("b", "c")], 1, 2, 0),
 }
 
 
-@pytest.mark.parametrize("error", list(_COHESION_FALLBACKS), ids=lambda error: error.__name__)
-def test_cohesion_fallback_reports_not_validated(error):
-    slugs, arcs, k_citing, k_cited, k = _COHESION_FALLBACKS[error]
+@pytest.mark.parametrize("reason", list(_COHESION_FALLBACKS))
+def test_cohesion_fallback_reports_not_validated(reason):
+    slugs, arcs, k_citing, k_cited, k = _COHESION_FALLBACKS[reason]
     g = make_digraph(slugs, arcs)
     config = PipelineConfig(k_citing=k_citing, k_cited=k_cited, null_samples=1)
     ug = g.undirected_projection()
-    # the same call club_cohesion makes raises the error it falls back on
-    with pytest.raises(error):
-        normalized_rich_club(ug, k, 1, derive_seed(config.seed, "phi-norm"),
-                             config.rewire_budget_factor)
+    # the graph falls back for its reason alone; the nulls are the ones club_cohesion draws
+    nulls = rewirings(ug, 1, derive_seed(config.seed, "phi-norm"), config.rewire_budget_factor)
+    phi = phi_table(ug).get(k)
+    holds = {
+        "null-mean-zero": phi is not None and ug.edge_count >= 2
+        and normalized_rich_club(ug, k, nulls) is None,
+        "phi-undefined": phi is None,
+        "too-few-edges": ug.edge_count < 2,
+    }
+    assert [name for name, held in holds.items() if held] == [reason]
     club = rich_club_members(g, k_citing, k_cited)
     assert club_cohesion(g, ug, club, config) == (False, k, None)
     section = build_sections(g, config, ["rich_club"])["rich_club"]
