@@ -15,12 +15,11 @@ from typing import Iterator
 from .errors import LexnetError, MalformedLineError
 
 # The characters XML 1.0 cannot carry, not even as character references: a
-# slug holding one would make a GraphML export that does not parse.
-# splitlines() already ends a line at U+000B, U+000C and U+001C-U+001E.
-# A class reaching past U+00FF compiles to a table over the whole BMP
+# slug holding one would make a GraphML export that does not parse. A
+# class reaching past U+00FF compiles to a table over the whole BMP
 # (about 0.7 ms on CPython 3.11), so the first reader compiles the pattern
 # and re caches it; a command that reads no TSV does not pay for it.
-_NOT_XML = r"[\x00-\x08\x0e-\x1f\ufffe\uffff]"
+_NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]"
 
 
 def read_text(path: str) -> str:
@@ -36,14 +35,17 @@ def read_text(path: str) -> str:
 def tsv_records(content: str, width: int, where: str = "line") -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, stripped fields)`` for each record line of a TSV text.
 
-    Blank lines and lines starting with ``#`` are skipped. A record line
-    must hold exactly ``width`` tab-separated fields and no U+FEFF: a mark
-    inside a file is invisible, and in a slug it would name another node.
+    Lines end at LF, CR LF or CR, the ends that universal-newline reading
+    turns into LF (``str.splitlines`` would also end one at U+000B, U+000C,
+    U+001C-U+001E, U+0085, U+2028 and U+2029). Blank lines and lines
+    starting with ``#`` are skipped. A record line must hold exactly
+    ``width`` tab-separated fields and no U+FEFF: a mark inside a file is
+    invisible, and in a slug it would name another node.
     Nor may it hold a character XML cannot carry (``_NOT_XML``). Each
     MalformedLineError names the line as ``{where} N``.
     """
     not_xml = re.compile(_NOT_XML)
-    for lineno, raw in enumerate(content.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", content), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

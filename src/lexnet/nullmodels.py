@@ -1,14 +1,17 @@
 """Random-graph baselines and the concentrated-world assessment.
 
 Seeded generators produce identical graphs for identical inputs; multi
-sample statistics derive one child seed per sample so draws are
-independent of evaluation order.
+sample statistics derive one child seed per sample, so a sample does not
+depend on the order or the process that draws it, and the samples of one
+ensemble are drawn through ``ordered_map`` on every usable CPU.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from array import array
+from itertools import islice
+from typing import NamedTuple
 
 from .config import PipelineConfig
 from .errors import DegenerateGraphError, LexnetError
@@ -21,6 +24,7 @@ from .metrics import (
     mean_std,
     normalized_rich_club,
 )
+from .parallel import ordered_map
 from .seeding import derive_seed
 
 
@@ -190,22 +194,21 @@ class NullModelStats(NamedTuple):
     path_length_stddev: float
 
 
-def _stats_over(model: str, params: dict, graphs: Iterable[UGraph], seed: int) -> NullModelStats:
-    """Statistics over the samples, read one at a time so only one is held."""
-    densities = []
-    clusterings = []
-    paths = []
-    for ug in graphs:
-        n = ug.node_count
-        densities.append(2.0 * ug.edge_count / (n * (n - 1)))
-        clusterings.append(global_clustering(ug))
-        paths.append(average_path_length(ug))
+def _sample_stats(ug: UGraph) -> tuple[float, float, float]:
+    """(density, clustering, path length) of one sample graph."""
+    n = ug.node_count
+    return 2.0 * ug.edge_count / (n * (n - 1)), global_clustering(ug), average_path_length(ug)
+
+
+def _stats_over(model: str, params: dict, samples: list[tuple], seed: int) -> NullModelStats:
+    """Statistics over the per-sample (density, clustering, path length), in sample order."""
+    densities, clusterings, paths = zip(*samples)
     density_mean, _ = mean_std(densities)
     c_mean, c_std = mean_std(clusterings)
     p_mean, p_std = mean_std(paths)
     return NullModelStats(
         model=model,
-        samples=len(densities),
+        samples=len(samples),
         seed=seed,
         params=params,
         density_mean=density_mean,
@@ -217,13 +220,19 @@ def _stats_over(model: str, params: dict, graphs: Iterable[UGraph], seed: int) -
 
 
 def er_baseline(n: int, m: int, samples: int, seed: int) -> NullModelStats:
-    graphs = (erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}")) for i in range(samples))
-    return _stats_over("er_gnm", {"n": n, "m": m}, graphs, seed)
+    stats = ordered_map(
+        lambda i: _sample_stats(erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}"))),
+        range(samples),
+    )
+    return _stats_over("er_gnm", {"n": n, "m": m}, stats, seed)
 
 
 def ws_baseline(n: int, k_even: int, p: float, samples: int, seed: int) -> NullModelStats:
-    graphs = (watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}")) for i in range(samples))
-    return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, graphs, seed)
+    stats = ordered_map(
+        lambda i: _sample_stats(watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}"))),
+        range(samples),
+    )
+    return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, stats, seed)
 
 
 # -- assessment ----------------------------------------------------------------------
@@ -259,11 +268,20 @@ def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig
     k = min(len(ug.adj[v]) for v in club.members)
     attempts = config.rewire_budget_factor * ug.edge_count
     seed = derive_seed(config.seed, "phi-norm")
-    nulls = (
-        degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
-        for i in range(config.null_samples)
-    )
-    norm = normalized_rich_club(ug, k, nulls) if ug.edge_count >= 2 else None
+    degrees = [len(nbrs) for nbrs in ug.adj]
+
+    def rewired(i: int) -> array:
+        # a rewiring keeps every degree, so its neighbours in node order are
+        # the whole graph, and a flat array of them holds a tenth of the sets
+        null = degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
+        return array("i", [v for nbrs in null.adj for v in nbrs])
+
+    def nulls():  # drawn only when normalized_rich_club first reads a null
+        for flat in ordered_map(rewired, range(config.null_samples)):
+            ends = iter(flat)
+            yield UGraph([set(islice(ends, d)) for d in degrees])
+
+    norm = normalized_rich_club(ug, k, nulls()) if ug.edge_count >= 2 else None
     if norm is None:
         return False, k, None
     validated = club.internal_density > density(g) and norm.phi_norm > 1.0

@@ -20,11 +20,13 @@ import sys
 # cost tens of milliseconds at every command's start. hashlib loads
 # OpenSSL's _hashlib, 4-7 ms; the seed and config digests use CPython's
 # builtin SHA-256 instead (lexnet.seeding), and no command loads hashlib.
+# lexnet.parallel imports pickle only when it forks, and uses neither
+# multiprocessing nor concurrent.futures, which would cost more again.
 # A name stands for the module and everything under it. urllib.parse is
 # allowed: pathlib imports it, and it is light.
 FORBIDDEN = (
     "dataclasses", "inspect", "xml", "urllib.request", "http", "email", "ssl", "socket",
-    "hashlib",
+    "hashlib", "pickle", "multiprocessing", "concurrent",
 )
 
 # The lexnet modules start-up loads. Every other one (graph, report,

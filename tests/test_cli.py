@@ -380,7 +380,10 @@ class TestTsvLineRules:
         (_EDGES, "a\nb\x1f\n", "node sidecar line 2", "U+001F"),
         (_EDGES, "a\n\x00\n", "node sidecar line 2", "U+0000"),
         ("a\tb\uffff\t1\n", "", "line 1", "U+FFFF"),
-    ], ids=["edge-list", "sidecar", "sidecar-nul", "edge-list-nonchar"])
+        ("a\tb\t1\na\x0bb\tc\t1\n", "", "line 2", "U+000B"),
+        (_EDGES, "a\nb\x0c\n", "node sidecar line 2", "U+000C"),
+    ], ids=["edge-list", "sidecar", "sidecar-nul", "edge-list-nonchar", "edge-list-vt",
+            "sidecar-ff"])
     def test_control_character_in_a_graph_input(self, edges, nodes, where, char):
         files = {"edges.tsv": edges, "nodes.txt": nodes}
         assert self._run(files, self._ANALYZE) == (

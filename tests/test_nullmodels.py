@@ -394,3 +394,21 @@ def test_cohesion_fallback_reports_not_validated(reason):
     section = build_sections(g, config, ["rich_club"])["rich_club"]
     assert section["phi_normalized"] is None
     assert section["cohesion_validated"] is False
+
+
+@pytest.mark.parametrize(("reason", "rewirings_drawn"), [
+    ("phi-undefined", 0), ("too-few-edges", 0), ("null-mean-zero", 1),
+])
+def test_cohesion_draws_no_rewiring_it_cannot_use(reason, rewirings_drawn, monkeypatch):
+    import lexnet.nullmodels
+
+    calls = []
+    rewire = lexnet.nullmodels.degree_preserving_rewire
+    monkeypatch.setattr(lexnet.nullmodels, "degree_preserving_rewire",
+                        lambda *args: calls.append(args) or rewire(*args))
+    slugs, arcs, k_citing, k_cited, k = _COHESION_FALLBACKS[reason]
+    g = make_digraph(slugs, arcs)
+    config = PipelineConfig(k_citing=k_citing, k_cited=k_cited, null_samples=1)
+    club = rich_club_members(g, k_citing, k_cited)
+    assert club_cohesion(g, g.undirected_projection(), club, config) == (False, k, None)
+    assert len(calls) == rewirings_drawn

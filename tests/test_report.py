@@ -66,6 +66,23 @@ class TestParseEdgeList:
             parse_edge_list("a\tb\t1\nbroken line\n")
         assert exc.value.lineno == 2
 
+    def test_only_line_feeds_and_carriage_returns_end_a_line(self):
+        # U+2028 would end a line for str.splitlines and leak "x" as a record
+        g = parse_edge_list("a\tb\t1\n# note\u2028x\nb\tc\t1\n")
+        assert weights_by_slug(g) == {("a", "b"): 1, ("b", "c"): 1}
+        # U+0085 is a character XML carries, so it stays inside its slug
+        g = parse_edge_list("a\tb\t1\nb\tc\x85d\t1\n")
+        assert weights_by_slug(g) == {("a", "b"): 1, ("b", "c\x85d"): 1}
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends(self, end):
+        lines = ["# edges", "a\tb\t1", "", "b\tc\t2"]
+        g = parse_edge_list(end.join(lines) + end)
+        assert weights_by_slug(g) == {("a", "b"): 1, ("b", "c"): 2}
+        with pytest.raises(MalformedLineError) as exc:
+            parse_edge_list(end.join([*lines, "c\ta"]) + end)
+        assert exc.value.lineno == 5
+
     def test_bad_count(self):
         with pytest.raises(MalformedLineError):
             parse_edge_list("a\tb\tzero\n")
