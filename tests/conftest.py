@@ -638,7 +638,7 @@ def assess(g: DiGraph, club, samples: int, seed: int, **config):
 
 
 def rewirings(ug: UGraph, samples: int, seed: int, swap_factor: int = 10) -> Iterator[UGraph]:
-    """The null graphs club_cohesion feeds normalized_rich_club, drawn one at a time.
+    """The null graphs club_cohesion draws, one at a time.
 
     Sample i makes ``swap_factor * edge_count`` swap attempts under the
     seed derived from (seed, "rewire:i"); club_cohesion passes the
@@ -650,6 +650,15 @@ def rewirings(ug: UGraph, samples: int, seed: int, swap_factor: int = 10) -> Ite
     attempts = swap_factor * ug.edge_count
     for i in range(samples):
         yield degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
+
+
+def rewired_phis(ug: UGraph, k: int, samples: int, seed: int,
+                 swap_factor: int = 10) -> Iterator[float]:
+    """phi(k) of each of the :func:`rewirings`, as club_cohesion feeds them to normalized_rich_club."""
+    from lexnet.metrics import phi_table
+
+    for null in rewirings(ug, samples, seed, swap_factor):
+        yield phi_table(null)[k]
 
 
 def degree_multiset(ug: UGraph) -> list[int]:

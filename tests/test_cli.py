@@ -974,12 +974,12 @@ def test_each_command_imports_what_it_runs(command, loads_analysis, extracted, f
 
 
 def test_normalized_rich_club_loads_no_null_model():
-    # the null graphs are an argument, so metrics draws none itself
+    # the nulls' phi(k) are an argument, so metrics draws no null graph itself
     code = ("import sys\n"
             "from lexnet.graph import UGraph\n"
             "from lexnet.metrics import normalized_rich_club\n"
             "ug = UGraph([{1, 2}, {0, 2}, {0, 1}])\n"
-            "assert normalized_rich_club(ug, 1, iter([ug])) == (1.0, 1.0, 1.0, 0.0)\n"
+            "assert normalized_rich_club(ug, 1, iter([1.0])) == (1.0, 1.0, 1.0, 0.0)\n"
             "print(sorted({'lexnet.nullmodels', 'lexnet.seeding'} & set(sys.modules)))")
     assert _fresh_python(["-c", code]) == "[]\n"
 

@@ -37,7 +37,7 @@ from conftest import (
     reference_betweenness,
     reference_harmonic_closeness,
     reference_transitivity,
-    rewirings,
+    rewired_phis,
     ugraphs,
 )
 
@@ -311,26 +311,26 @@ class TestMeanStd:
 
 class TestNormalizedRichClub:
     def test_bridge_fixture_norm_above_one(self, bridge_ugraph):
-        result = normalized_rich_club(bridge_ugraph, 2, rewirings(bridge_ugraph, 200, seed=7))
+        result = normalized_rich_club(bridge_ugraph, 2, rewired_phis(bridge_ugraph, 2, 200, seed=7))
         assert result.phi == 1.0
         assert result.phi_null_mean < 1.0
         assert result.phi_norm > 1.0
 
     def test_complete_graph_norm_is_one(self):
         ug = make_ugraph("abcde", [(a, b) for a in "abcde" for b in "abcde" if a < b])
-        result = normalized_rich_club(ug, 3, rewirings(ug, 20, seed=3))
+        result = normalized_rich_club(ug, 3, rewired_phis(ug, 3, 20, seed=3))
         assert result.phi == 1.0
         assert result.phi_norm == 1.0
         assert result.sample_stddev == 0.0
 
     def test_deterministic(self, bridge_ugraph):
-        a = normalized_rich_club(bridge_ugraph, 2, rewirings(bridge_ugraph, 50, seed=11))
-        b = normalized_rich_club(bridge_ugraph, 2, rewirings(bridge_ugraph, 50, seed=11))
+        a = normalized_rich_club(bridge_ugraph, 2, rewired_phis(bridge_ugraph, 2, 50, seed=11))
+        b = normalized_rich_club(bridge_ugraph, 2, rewired_phis(bridge_ugraph, 2, 50, seed=11))
         assert a == b
 
     def test_undefined_is_none(self):
         ug = make_ugraph("habcd", [("h", x) for x in "abcd"])
-        assert normalized_rich_club(ug, 1, rewirings(ug, 5, seed=1)) is None
+        assert normalized_rich_club(ug, 1, rewired_phis(ug, 1, 5, seed=1)) is None
 
     def test_no_nulls_raises(self, bridge_ugraph):
         with pytest.raises(ValueError, match="at least one graph"):

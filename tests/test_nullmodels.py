@@ -1,8 +1,10 @@
 """Random-graph generators, degree-preserving rewiring, cohesion, assessment rule."""
 
+import os
 import random
 import tracemalloc
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from lexnet.config import PipelineConfig
 from lexnet.errors import DegenerateGraphError, LexnetError
-from lexnet.graph import UGraph
+from lexnet.graph import DiGraph, UGraph
 from lexnet.metrics import (
     NormalizedPhi,
     global_clustering,
@@ -39,7 +41,7 @@ from conftest import (
     reference_erdos_renyi_gnm,
     reference_rewire,
     reference_watts_strogatz,
-    rewirings,
+    rewired_phis,
     ugraphs,
 )
 
@@ -286,7 +288,7 @@ def _traced_peak(fn, *args):
 
 
 class _Normalized(NamedTuple):
-    samples: int  # the rewirings normalized_rich_club read
+    samples: int  # the rewirings drawn
     norm: NormalizedPhi | None
 
 
@@ -294,14 +296,28 @@ def rewired_rich_club(ug: UGraph, k: int, samples: int, seed: int) -> _Normalize
     """normalized_rich_club over the rewirings club_cohesion would draw, counting them."""
     read = 0
 
-    def nulls():
+    def null_phis():
         nonlocal read
-        for null in rewirings(ug, samples, seed):
+        for phi in rewired_phis(ug, k, samples, seed):
             read += 1
-            yield null
+            yield phi
 
-    norm = normalized_rich_club(ug, k, nulls())
+    norm = normalized_rich_club(ug, k, null_phis())
     return _Normalized(read, norm)
+
+
+def cohesion(g: DiGraph, samples: int, seed: int) -> _Normalized:
+    """club_cohesion of g's (8, 8) rich club on one CPU, counting the rewirings it draws."""
+    import lexnet.nullmodels
+
+    drawn = []
+    rewire = lexnet.nullmodels.degree_preserving_rewire
+    config = PipelineConfig(k_citing=8, k_cited=8, null_samples=samples, seed=seed)
+    with mock.patch.object(lexnet.nullmodels, "degree_preserving_rewire",
+                           lambda *args: drawn.append(1) or rewire(*args)), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        _, _, norm = club_cohesion(g, g.undirected_projection(), rich_club_members(g, 8, 8), config)
+    return _Normalized(len(drawn), norm)
 
 
 class TestBaselines:
@@ -309,6 +325,7 @@ class TestBaselines:
         (er_baseline, (200, 800)),
         (ws_baseline, (200, 8, 0.1)),
         (rewired_rich_club, (erdos_renyi_gnm(200, 800, 1), 8)),
+        (cohesion, (digraph_from_ugraph(erdos_renyi_gnm(200, 800, 1)),)),
     ])
     def test_samples_are_held_one_at_a_time(self, statistic, args):
         _, one = _traced_peak(statistic, *args, 1, 5)
@@ -380,11 +397,12 @@ def test_cohesion_fallback_reports_not_validated(reason):
     config = PipelineConfig(k_citing=k_citing, k_cited=k_cited, null_samples=1)
     ug = g.undirected_projection()
     # the graph falls back for its reason alone; the nulls are the ones club_cohesion draws
-    nulls = rewirings(ug, 1, derive_seed(config.seed, "phi-norm"), config.rewire_budget_factor)
+    seed = derive_seed(config.seed, "phi-norm")
+    null_phis = rewired_phis(ug, k, 1, seed, config.rewire_budget_factor)
     phi = phi_table(ug).get(k)
     holds = {
         "null-mean-zero": phi is not None and ug.edge_count >= 2
-        and normalized_rich_club(ug, k, nulls) is None,
+        and normalized_rich_club(ug, k, null_phis) is None,
         "phi-undefined": phi is None,
         "too-few-edges": ug.edge_count < 2,
     }
