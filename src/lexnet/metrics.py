@@ -277,13 +277,6 @@ def average_path_length(ug: UGraph) -> float:
 # -- centrality -----------------------------------------------------------------
 
 
-# Row entries per ordered_map call in betweenness_scores. The parent holds
-# an n-long row of doubles for each source of a call before adding them, so
-# a call takes _ROW_BUDGET // n sources and its rows stay within 512 KB
-# (on a 500-node graph, 2**20 made peak memory 2 MB larger for 8 % less time).
-_ROW_BUDGET = 1 << 16
-
-
 def _dependencies(adj: list[list[int]], s: int) -> array:
     """The dependency of source s on every node (0.0 for s and the nodes it cannot reach)."""
     n = len(adj)
@@ -321,20 +314,17 @@ def betweenness_scores(ug: UGraph) -> list[float]:
     node, i.e. the pair sums normalized by (n-1)(n-2)/2. The visiting
     order serves as the queue and, reversed, as the stack; a predecessor
     of w is any neighbor one step nearer the source, so none are stored.
-    The sources run through ordered_map, and their rows are added in
-    source order, so every sum sees its addends in the order of one loop
-    (an unreached node's 0.0 leaves a sum as it was).
+    The sources run through ordered_map, and each row is added as it
+    arrives, in source order, so every sum sees its addends in the order
+    of one loop (an unreached node's 0.0 leaves a sum as it was) and the
+    parent holds one row at a time.
     """
     n = ug.node_count
     adj = [sorted(nbrs) for nbrs in ug.adj]
     raw = [0.0] * n
     source_us = (n + 2 * ug.edge_count) / 5  # 0.11-0.2 us per node and arc end
-    block = max(1, _ROW_BUDGET // n)
-    for start in range(0, n, block):
-        sources = range(start, min(n, start + block))
-        rows = ordered_map(partial(_dependencies, adj), sources, source_us)
-        for delta in rows:
-            raw = list(map(add, raw, delta))
+    for delta in ordered_map(partial(_dependencies, adj), range(n), source_us):
+        raw = list(map(add, raw, delta))
     if n < 3:
         return [0.0] * n
     norm = (n - 1) * (n - 2)  # raw counts ordered pairs, i.e. twice the unordered sum

@@ -220,20 +220,20 @@ def _stats_over(model: str, params: dict, samples: list[tuple], seed: int) -> Nu
 
 
 def er_baseline(n: int, m: int, samples: int, seed: int) -> NullModelStats:
-    stats = ordered_map(
+    stats = list(ordered_map(
         lambda i: _sample_stats(erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}"))),
         range(samples),
         n + 2 * m,  # a sample's draw and statistics take 0.7-1.8 us per node and arc end
-    )
+    ))
     return _stats_over("er_gnm", {"n": n, "m": m}, stats, seed)
 
 
 def ws_baseline(n: int, k_even: int, p: float, samples: int, seed: int) -> NullModelStats:
-    stats = ordered_map(
+    stats = list(ordered_map(
         lambda i: _sample_stats(watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}"))),
         range(samples),
         n + n * k_even,  # as for er_baseline, with n * k_even / 2 edges
-    )
+    ))
     return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, stats, seed)
 
 
@@ -275,11 +275,10 @@ def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig
         null = degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
         return phi_table(null)[k]  # a rewiring keeps every degree, so phi(k) stays defined
 
-    def null_phis():  # drawn only when normalized_rich_club reads the first one
-        # a rewiring takes 0.8-1 us per swap attempt
-        yield from ordered_map(null_phi, range(config.null_samples), attempts)
-
-    norm = normalized_rich_club(ug, k, null_phis()) if ug.edge_count >= 2 else None
+    # drawn only when normalized_rich_club reads the first one; a rewiring
+    # takes 0.8-1 us per swap attempt
+    null_phis = ordered_map(null_phi, range(config.null_samples), attempts)
+    norm = normalized_rich_club(ug, k, null_phis) if ug.edge_count >= 2 else None
     if norm is None:
         return False, k, None
     validated = club.internal_density > density(g) and norm.phi_norm > 1.0

@@ -1,18 +1,20 @@
 """ordered_map, and results that do not depend on the number of usable CPUs."""
 
+import io
 import os
+import pickle
 import threading
+import tracemalloc
 import warnings
 
 import pytest
 
-import lexnet.metrics
 import lexnet.parallel
 from lexnet.cli import run
 from lexnet.errors import DegenerateGraphError, LexnetError, MalformedLineError
 from lexnet.metrics import betweenness_scores
 from lexnet.nullmodels import erdos_renyi_gnm
-from lexnet.parallel import _FORK_US, ordered_map
+from lexnet.parallel import _FORK_US, _receive, ordered_map
 
 from conftest import reference_betweenness, ugraph
 
@@ -29,7 +31,7 @@ def no_child_left():
 
 
 def use_cpus(monkeypatch, count: int, *, any_work: bool = False) -> None:
-    """Make count CPUs usable; with any_work, every task is worth a chunk of its own."""
+    """Make count CPUs usable; with any_work, every task is worth a worker of its own."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     if any_work:
         monkeypatch.setattr(lexnet.parallel, "_FORK_US", 1e-9)
@@ -49,23 +51,24 @@ def _pid_of(x):
 @pytest.mark.parametrize("count", CPU_COUNTS)
 def test_results_in_input_order_one_chunk_per_cpu(count, monkeypatch):
     use_cpus(monkeypatch, count)
-    results = ordered_map(_pid_of, range(10), WORTH_A_CHUNK)
+    results = list(ordered_map(_pid_of, range(10), WORTH_A_CHUNK))
     assert [x for x, _ in results] == list(range(10))
     pids = [pid for _, pid in results]
-    assert pids[:4] == [os.getpid()] * 4  # the parent runs the first chunk
+    assert pids[::count] == [os.getpid()] * len(pids[::count])  # the parent runs items 0, N, 2N...
+    assert pids == [pids[i % count] for i in range(10)]  # and worker w the items w, w + N...
     assert len(set(pids)) == count
 
 
-@pytest.mark.parametrize(("forks_of_work", "chunks"), [
+@pytest.mark.parametrize(("forks_of_work", "workers"), [
     (3.99, 1), (4, 2), (8.99, 2), (9, 3), (10_000, 8),
 ])
-def test_as_many_chunks_as_the_work_pays_for(forks_of_work, chunks, monkeypatch):
+def test_as_many_chunks_as_the_work_pays_for(forks_of_work, workers, monkeypatch):
     use_cpus(monkeypatch, 8)
     forked = count_forks(monkeypatch)
-    results = ordered_map(_pid_of, range(100), forks_of_work * _FORK_US / 100)
+    results = list(ordered_map(_pid_of, range(100), forks_of_work * _FORK_US / 100))
     assert [x for x, _ in results] == list(range(100))
-    assert len(set(pid for _, pid in results)) == chunks
-    assert len(forked) == chunks - 1
+    assert len(set(pid for _, pid in results)) == workers
+    assert len(forked) == workers - 1
 
 
 def test_the_fixture_forks_for_its_ensembles_but_not_its_betweenness(fixture_graph, monkeypatch):
@@ -80,13 +83,25 @@ def test_the_fixture_forks_for_its_ensembles_but_not_its_betweenness(fixture_gra
     assert forked == []
     club = rich_club_members(fixture_graph, 5, 6)
     club_cohesion(fixture_graph, ug, club, PipelineConfig())  # 100 rewirings of about 2 ms
-    assert len(forked) == 6  # sqrt(100 x 2,410 attempts / 4,500) = 7 chunks
+    assert len(forked) == 6  # sqrt(100 x 2,410 attempts / 4,500) = 7 workers
 
 
 def test_more_cpus_than_items(monkeypatch):
     use_cpus(monkeypatch, 8)
     assert [x for x, _ in ordered_map(_pid_of, "ab", WORTH_A_CHUNK)] == ["a", "b"]
-    assert ordered_map(_pid_of, [], WORTH_A_CHUNK) == []
+    assert list(ordered_map(_pid_of, [], WORTH_A_CHUNK)) == []
+
+
+def test_nothing_forks_before_the_first_read_and_a_closed_map_leaves_no_child(monkeypatch):
+    forked = count_forks(monkeypatch)
+    use_cpus(monkeypatch, 3)
+    results = ordered_map(_pid_of, range(30), WORTH_A_CHUNK)
+    assert forked == []
+    assert next(results) == (0, os.getpid())
+    assert len(forked) == 2
+    results.close()  # the children are still running their items
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class _Failing(Exception):
@@ -111,7 +126,7 @@ def _raise_at(bad, error):
 def test_a_task_error_is_raised_in_the_parent(count, error, monkeypatch):
     use_cpus(monkeypatch, count)
     with pytest.raises(type(error)) as raised:
-        ordered_map(_raise_at({8}, error), range(9), WORTH_A_CHUNK)  # the last chunk's item
+        list(ordered_map(_raise_at({7}, error), range(9), WORTH_A_CHUNK))  # a child's item at 2 and 3 CPUs
     assert str(raised.value) == str(error)
     assert raised.value.exit_code == error.exit_code
     assert vars(raised.value) == vars(error)
@@ -121,9 +136,11 @@ def test_a_task_error_is_raised_in_the_parent(count, error, monkeypatch):
 def test_the_first_failing_item_raises(count, monkeypatch):
     use_cpus(monkeypatch, count)
     with pytest.raises(_Failing, match="^4$"):
-        ordered_map(_raise_at({4, 8}, _Failing), range(9), WORTH_A_CHUNK)
+        list(ordered_map(_raise_at({4, 8}, _Failing), range(9), WORTH_A_CHUNK))
+    with pytest.raises(_Failing, match="^5$"):
+        list(ordered_map(_raise_at({5, 8}, _Failing), range(9), WORTH_A_CHUNK))  # a child's at 2 and 3 CPUs
     with pytest.raises(_Failing, match="^0$"):
-        ordered_map(_raise_at({0, 8}, _Failing), range(9), WORTH_A_CHUNK)  # the parent's own chunk
+        list(ordered_map(_raise_at({0, 8}, _Failing), range(9), WORTH_A_CHUNK))  # the parent's own item
 
 
 def test_an_error_that_does_not_pickle_keeps_its_text(monkeypatch):
@@ -132,19 +149,31 @@ def test_an_error_that_does_not_pickle_keeps_its_text(monkeypatch):
 
     use_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="^Local: lost$"):
-        ordered_map(_raise_at({3}, Local("lost")), range(4), WORTH_A_CHUNK)
+        list(ordered_map(_raise_at({3}, Local("lost")), range(4), WORTH_A_CHUNK))
 
 
-def test_a_child_that_dies_has_its_chunk_run_in_the_parent(monkeypatch):
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_child_that_dies_partway_has_the_rest_of_its_items_run_in_the_parent(count, monkeypatch):
     parent = os.getpid()
 
     def task(x):
-        if os.getpid() != parent:
+        if x >= 5 and os.getpid() != parent:
             os._exit(1)
-        return x * x
+        return x * x, os.getpid()
 
-    use_cpus(monkeypatch, 3)
-    assert ordered_map(task, range(7), WORTH_A_CHUNK) == [x * x for x in range(7)]
+    use_cpus(monkeypatch, count)
+    results = list(ordered_map(task, range(12), WORTH_A_CHUNK))
+    assert [y for y, _ in results] == [x * x for x in range(12)]
+    pids = [pid for _, pid in results]
+    assert all(pids[x] != parent for x in range(5) if x % count)  # sent before the child died
+    assert pids[5:] == [parent] * 7
+
+
+def test_a_stream_that_ends_early_reads_as_none():
+    whole = pickle.dumps((True, list(range(1000))), pickle.HIGHEST_PROTOCOL)
+    assert _receive(io.BytesIO(whole)) == (True, list(range(1000)))
+    assert _receive(io.BytesIO(whole[:-10])) is None  # a child killed in the middle of a write
+    assert _receive(io.BytesIO(b"")) is None  # a child that exited before its next result
 
 
 def test_runs_in_process_beside_another_thread(monkeypatch):
@@ -155,23 +184,43 @@ def test_runs_in_process_beside_another_thread(monkeypatch):
         use_cpus(monkeypatch, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = ordered_map(_pid_of, range(6), WORTH_A_CHUNK)
+            results = list(ordered_map(_pid_of, range(6), WORTH_A_CHUNK))
     finally:
         release.set()
         other.join()
     assert [pid for _, pid in results] == [os.getpid()] * 6
 
 
-@pytest.mark.parametrize("sources_per_call", [35, 4], ids=["one-call", "nine-calls"])
-def test_betweenness_does_not_depend_on_the_cpu_count(sources_per_call, monkeypatch):
-    # a random graph on 0..29 plus isolated nodes 30..34, which no source reaches
-    er = erdos_renyi_gnm(30, 45, seed=5)
-    ug = ugraph(35, er.edges())
+@pytest.mark.parametrize("n", [35, 300], ids=["rows-within-a-pipe-buffer", "rows-past-a-pipe-buffer"])
+def test_betweenness_does_not_depend_on_the_cpu_count(n, monkeypatch):
+    # a random graph on all but the last 5 nodes, which no source reaches; at
+    # 300 nodes a child's rows (2.4 KB each) fill its pipe, so it waits for the parent
+    er = erdos_renyi_gnm(n - 5, 3 * (n - 5) // 2, seed=5)
+    ug = ugraph(n, er.edges())
     expected = reference_betweenness(ug)
-    monkeypatch.setattr(lexnet.metrics, "_ROW_BUDGET", 35 * sources_per_call)
     for count in CPU_COUNTS:
         use_cpus(monkeypatch, count, any_work=True)
         assert betweenness_scores(ug) == expected
+
+
+def test_betweenness_holds_one_row_at_a_time(monkeypatch):
+    ug = erdos_renyi_gnm(600, 900, seed=3)
+    row = 8 * ug.node_count  # a row of doubles, as a child sends it
+    use_cpus(monkeypatch, 2, any_work=True)
+    tracemalloc.start()
+    try:
+        adjacency = [sorted(nbrs) for nbrs in ug.adj]  # the copy betweenness_scores walks
+        held = tracemalloc.get_traced_memory()[0]
+        del adjacency
+        tracemalloc.reset_peak()
+        betweenness_scores(ug)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parent's own source, the running sum, the row it is adding and the
+    # pipe's read buffer measure 17-24 rows; a block of rows held at once, or
+    # a child's rows pickled in one reply, takes hundreds
+    assert peak - held < 30 * row
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +241,31 @@ def test_fixture_report_does_not_depend_on_the_cpu_count(inputs, monkeypatch):
         out = f"report-{count}.json"
         assert run(["analyze", "--edges", "edges.tsv", "--nodes", "nodes.txt", "--out", out]) == 0
         reports.append((inputs / out).read_bytes())
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_a_report_whose_every_stage_forks_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # at 300 nodes and 6 null samples the work rule forks betweenness, the
+    # rewirings and both ensembles, where the fixture's betweenness stays in-process
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("".join(f"n{u}\tn{v}\t1\n" for u, v in erdos_renyi_gnm(300, 1500, 7).edges()),
+                     encoding="utf-8")
+    workers = []
+
+    def workers_for(items, cost_us, rule=lexnet.parallel._workers):
+        workers.append(rule(items, cost_us))
+        return workers[-1]
+
+    monkeypatch.setattr(lexnet.parallel, "_workers", workers_for)
+    reports = []
+    for count in CPU_COUNTS:
+        use_cpus(monkeypatch, count)
+        workers.clear()
+        out = tmp_path / f"report-{count}.json"
+        assert run(["analyze", "--edges", str(edges), "--null-samples", "6", "--out", str(out)]) == 0
+        assert workers == [min(count, most) for most in (4, 2, 2, 6)]  # cohesion, ER, WS, Brandes
+        reports.append(out.read_bytes())
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
 
