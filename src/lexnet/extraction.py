@@ -74,46 +74,32 @@ def _trie_pattern(aliases: Iterable[str]) -> str:
 
     Sorting puts every trie subtree in one contiguous run of words, so nodes
     are index ranges and chains of single children collapse into literals.
-    The walk uses an explicit stack: its depth does not depend on alias
-    length. A node is ``(lo, hi, depth)``: ``words[lo:hi]`` share their
-    first ``depth`` characters, and ``words[lo]`` ends there if it is that
-    short (a prefix sorts before its extensions).
+    A node ``(lo, hi, depth)`` holds ``words[lo:hi]``, which share their
+    first ``depth`` characters; ``words[lo]`` ends there if it is that
+    short (a prefix sorts before its extensions). Each child lies deeper
+    than its parent and none is expanded past _TRIE_DEPTH, so the
+    recursion is at most _TRIE_DEPTH + 1 calls deep.
     """
     words = sorted(aliases)
-    done: list[str] = []  # finished sub-patterns, each node's children in order
-    # (lo, hi, depth, kids): kids is None until the node is expanded, then the
-    # node waits under its kids and is emitted once their patterns are done
-    stack: list[tuple[int, int, int, list | None]] = [(0, len(words), 0, None)]
-    while stack:
-        lo, hi, depth, kids = stack.pop()
+
+    def node(lo: int, hi: int, depth: int) -> str:
         optional = len(words[lo]) == depth
-        if kids is not None:
-            parts = done[len(done) - len(kids) :]
-            del done[len(done) - len(kids) :]
-            branches = [
-                re.escape(words[k_lo][depth:k_depth]) + part
-                for (k_lo, _, k_depth, _), part in zip(kids, parts)
-            ]
-            done.append(_group(branches, optional))
-        elif depth >= _TRIE_DEPTH:
-            tails = sorted(
-                (w[depth:] for w in words[lo + optional : hi]), key=lambda t: (-len(t), t)
-            )
-            done.append(_group([re.escape(t) for t in tails], optional))
-        else:
-            kids = []
-            start = lo + optional
-            while start < hi:
-                head = words[start][depth]
-                end = start + 1
-                while end < hi and words[end][depth] == head:
-                    end += 1
-                shared = len(os.path.commonprefix((words[start], words[end - 1])))
-                kids.append((start, end, shared, None))
-                start = end
-            stack.append((lo, hi, depth, kids))
-            stack.extend(reversed(kids))
-    return done[0]
+        start = lo + optional
+        if depth >= _TRIE_DEPTH:
+            tails = sorted((w[depth:] for w in words[start:hi]), key=lambda t: (-len(t), t))
+            return _group([re.escape(t) for t in tails], optional)
+        branches = []
+        while start < hi:
+            head = words[start][depth]
+            end = start + 1
+            while end < hi and words[end][depth] == head:
+                end += 1
+            shared = len(os.path.commonprefix((words[start], words[end - 1])))
+            branches.append(re.escape(words[start][depth:shared]) + node(start, end, shared))
+            start = end
+        return _group(branches, optional)
+
+    return node(0, len(words), 0)
 
 
 class RegistryEntry(NamedTuple):

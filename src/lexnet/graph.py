@@ -3,8 +3,9 @@
 Nodes are dense integers ``0..n-1``. Each node of a :class:`DiGraph`
 carries a non-empty slug that is unique within the graph. A directed arc
 ``x -> y`` means "x cites y" and stores the citation count as its
-weight; ``add_edge`` rejects self-loops. A digraph is mutated only while
-it is built, after which analysis code treats it as a read-only value.
+weight. ``DiGraph(slugs, arcs)`` builds a digraph in one step from its
+slugs and its arcs' counts, rejecting self-loops; it has no mutator, so
+analysis code reads it as a finished value.
 
 An undirected :class:`UGraph` is unlabeled and is just its neighbour
 sets: it wraps a finished adjacency list (the undirected projection of a
@@ -13,7 +14,7 @@ digraph, or a random graph generator's output) and is never mutated.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LexnetError
 
@@ -74,11 +75,15 @@ def distance_counts(adj: Sequence[Iterable[int]]) -> tuple[list[list[int]], list
 
 
 class DiGraph:
-    """Directed graph with weighted arcs over a fixed node set."""
+    """Directed graph with weighted arcs over a fixed node set.
+
+    ``arcs`` maps each (citing slug, cited slug) pair to its citation
+    count; without it the graph is edgeless.
+    """
 
     __slots__ = ("_slugs", "_slug_to_id", "_succ", "_in_degree", "_arc_count")
 
-    def __init__(self, slugs: Sequence[str]):
+    def __init__(self, slugs: Sequence[str], arcs: Mapping[tuple[str, str], int] = {}):
         if not slugs:
             raise LexnetError("a graph needs at least one node")
         self._slugs = tuple(slugs)
@@ -92,7 +97,15 @@ class DiGraph:
         n = len(self._slugs)
         self._succ: list[dict[int, int]] = [dict() for _ in range(n)]
         self._in_degree = [0] * n
-        self._arc_count = 0
+        for (citing, cited), count in arcs.items():
+            source, target = self.id_of(citing), self.id_of(cited)
+            if source == target:
+                raise LexnetError(f"self-citation on node {source} ({citing!r})")
+            if count < 1:
+                raise ValueError("count must be a positive integer")
+            self._succ[source][target] = count
+            self._in_degree[target] += 1
+        self._arc_count = len(arcs)
 
     # -- identity ---------------------------------------------------------
 
@@ -131,22 +144,6 @@ class DiGraph:
     def weight_total(self) -> int:
         return sum(w for succ in self._succ for w in succ.values())
 
-    def add_edge(self, source: NodeId, target: NodeId, count: int = 1) -> None:
-        """Add ``count`` citations from source to target; repeats accumulate."""
-        self._check(source)
-        self._check(target)
-        if source == target:
-            raise LexnetError(f"self-citation on node {source} ({self.slug(source)!r})")
-        if count < 1:
-            raise ValueError("count must be a positive integer")
-        succ = self._succ[source]
-        if target in succ:
-            succ[target] += count
-        else:
-            succ[target] = count
-            self._in_degree[target] += 1
-            self._arc_count += 1
-
     def out_degree(self, v: NodeId) -> int:
         """Number of distinct codes cited by v."""
         self._check(v)
@@ -175,16 +172,17 @@ class DiGraph:
         victim_set = set(victims)
         for v in victim_set:
             self._check(v)
-        survivors = [v for v in range(len(self._slugs)) if v not in victim_set]
-        mapping = {old: new for new, old in enumerate(survivors)}
-        reduced = DiGraph([self._slugs[v] for v in survivors])
-        for s in survivors:
-            ns = mapping[s]
-            succ = self._succ[s]
-            for t, w in succ.items():
-                if t in mapping:
-                    reduced.add_edge(ns, mapping[t], w)
-        return reduced
+        slugs = self._slugs
+        return DiGraph(
+            [slug for v, slug in enumerate(slugs) if v not in victim_set],
+            {
+                (slugs[s], slugs[t]): w
+                for s, succ in enumerate(self._succ)
+                if s not in victim_set
+                for t, w in succ.items()
+                if t not in victim_set
+            },
+        )
 
     def undirected_projection(self) -> "UGraph":
         """Forget direction and weight: {u,v} present iff u->v or v->u.

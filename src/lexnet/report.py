@@ -37,8 +37,8 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
     Duplicate records are summed with a warning; self-citation lines are
     rejected.
     """
-    records: list[tuple[str, str, int, int]] = []
-    slugs: set[str] = set()
+    arcs: dict[tuple[str, str], int] = {}
+    duplicates: list[str] = []  # warned only once both texts have parsed
     for lineno, (citing, cited, count_text) in tsv_records(content, 3):
         if not citing or not cited:
             raise MalformedLineError(lineno, "empty slug")
@@ -53,24 +53,21 @@ def parse_edge_list(content: str, nodes_content: str | None = None) -> DiGraph:
             raise MalformedLineError(lineno, f"count must be positive, got {count}")
         if citing == cited:
             raise MalformedLineError(lineno, f"self-citation on {citing!r}")
-        records.append((citing, cited, count, lineno))
-        slugs.add(citing)
-        slugs.add(cited)
+        if (citing, cited) in arcs:
+            arcs[citing, cited] += count
+            duplicates.append(
+                f"line {lineno}: duplicate record {citing} -> {cited}; counts summed"
+            )
+        else:
+            arcs[citing, cited] = count
+    slugs = {slug for pair in arcs for slug in pair}
     if nodes_content is not None:
         slugs.update(slug for _, (slug,) in tsv_records(nodes_content, 1, "node sidecar line"))
     if not slugs:
         raise LexnetError("no nodes in edge list or sidecar")
-    graph = DiGraph(sorted(slugs))
-    seen: set[tuple[str, str]] = set()
-    for citing, cited, count, lineno in records:
-        if (citing, cited) in seen:
-            warnings.warn(
-                f"line {lineno}: duplicate record {citing} -> {cited}; counts summed",
-                DuplicateRecordWarning,
-                stacklevel=2,
-            )
-        seen.add((citing, cited))
-        graph.add_edge(graph.id_of(citing), graph.id_of(cited), count)
+    graph = DiGraph(sorted(slugs), arcs)
+    for message in duplicates:
+        warnings.warn(message, DuplicateRecordWarning, stacklevel=2)
     return graph
 
 

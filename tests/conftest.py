@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 import unicodedata
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from typing import Iterator
 
@@ -49,16 +49,25 @@ def ugraphs(draw, max_nodes: int = 12) -> UGraph:
 
 
 def make_digraph(slugs, arcs):
-    """Build a DiGraph from slug names and (source, target[, count]) triples."""
-    g = DiGraph(list(slugs))
-    for arc in arcs:
-        if len(arc) == 2:
-            s, t = arc
-            g.add_edge(g.id_of(s), g.id_of(t))
-        else:
-            s, t, c = arc
-            g.add_edge(g.id_of(s), g.id_of(t), c)
-    return g
+    """Build a DiGraph from slug names and (source, target[, count]) triples.
+
+    A count defaults to 1, and the counts of a repeated pair are summed.
+    """
+    counts: Counter[tuple[str, str]] = Counter()
+    for s, t, *count in arcs:
+        counts[s, t] += count[0] if count else 1
+    return DiGraph(list(slugs), counts)
+
+
+def digraph_from_ids(slugs, arcs) -> DiGraph:
+    """Build a DiGraph from slugs and (source id, target id, count) triples.
+
+    The counts of a repeated pair are summed.
+    """
+    counts: Counter[tuple[str, str]] = Counter()
+    for s, t, c in arcs:
+        counts[slugs[s], slugs[t]] += c
+    return DiGraph(slugs, counts)
 
 
 def make_ugraph(slugs, edges):
@@ -83,10 +92,8 @@ def digraph_from_ugraph(ug: UGraph) -> DiGraph:
     is node order.
     """
     width = len(str(ug.node_count - 1))
-    g = DiGraph([f"v{i:0{width}d}" for i in range(ug.node_count)])
-    for u, v in ug.edges():
-        g.add_edge(u, v)
-    return g
+    slugs = [f"v{i:0{width}d}" for i in range(ug.node_count)]
+    return digraph_from_ids(slugs, ((u, v, 1) for u, v in ug.edges()))
 
 
 @pytest.fixture
@@ -112,11 +119,11 @@ def random_ugraph(rng: random.Random, n: int, m: int | None = None) -> UGraph:
 
 
 def random_digraph(rng: random.Random, n: int, arcs: int) -> DiGraph:
-    g = DiGraph([f"n{i:02d}" for i in range(n)])
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    for u, v in rng.sample(pairs, min(arcs, len(pairs))):
-        g.add_edge(u, v, rng.randint(1, 3))
-    return g
+    return digraph_from_ids(
+        [f"n{i:02d}" for i in range(n)],
+        [(u, v, rng.randint(1, 3)) for u, v in rng.sample(pairs, min(arcs, len(pairs)))],
+    )
 
 
 # -- independent oracles -------------------------------------------------------

@@ -14,6 +14,8 @@ from lexnet.extraction import (
     CodeDocument,
     CodeRegistry,
     RegistryEntry,
+    _TRIE_DEPTH,
+    _trie_pattern,
     build_edge_list,
     find_citations,
     load_registry,
@@ -282,6 +284,31 @@ def _registry_of(aliases):
 
 def _scan_spans(registry, text):
     return [(m.start(), m.group(0)) for m in registry.scan(text)]
+
+
+class TestTriePattern:
+    """Literal patterns, so that a rewrite of the trie walk keeps its output."""
+
+    def test_prefix_pair(self):
+        assert _trie_pattern(["code civil", "code"]) == r"code(?:\ civil)?"
+
+    def test_nested_and_sibling_branches(self):
+        assert _trie_pattern(["ab", "a", "abc", "b"]) == "(?:a(?:b(?:c)?)?|b)"
+        codes = ["code penal", "code de commerce", "code du travail", "code de la route",
+                 "code de l'urbanisme"]
+        assert _trie_pattern(codes) == (
+            r"code\ (?:d(?:e\ (?:commerce|l(?:'urbanisme|a\ route))|u\ travail)|penal)"
+        )
+
+    def test_past_depth_cap(self):
+        # past the cap the suffixes form one flat alternation, longest first
+        x = "x" * (_TRIE_DEPTH + 6)
+        aliases = ["q", x, x + "a", x + "bb", "x" * (_TRIE_DEPTH + 2) + "yz"]
+        assert _trie_pattern(aliases) == (
+            "(?:q|" + "x" * (_TRIE_DEPTH + 2) + "(?:xxxxbb|xxxxa|xxxx|yz))"
+        )
+        y = "y" * _TRIE_DEPTH
+        assert _trie_pattern([y, y + "c", y + "ab"]) == y + "(?:ab|c)?"
 
 
 class TestScanOracle:

@@ -10,6 +10,7 @@ from lexnet.graph import DiGraph, UGraph, distance_counts
 from lexnet.nullmodels import erdos_renyi_gnm
 
 from conftest import (
+    digraph_from_ids,
     digraph_from_ugraph,
     make_digraph,
     make_ugraph,
@@ -46,32 +47,39 @@ class TestConstruction:
             DiGraph(["a", ""])
 
 
-class TestAddEdge:
-    def test_weight_accumulates(self):
-        g = DiGraph(["a", "b"])
-        g.add_edge(0, 1, 1)
-        g.add_edge(0, 1, 2)
+class TestArcs:
+    def test_counts_and_degrees(self):
+        g = DiGraph(["a", "b", "c"], {("a", "b"): 3, ("c", "b"): 1})
+        assert list(g.arcs()) == [(0, 1, 3), (2, 1, 1)]
+        assert g.arc_count == 2
+        assert g.in_degree(1) == 2 and g.out_degree(0) == 1
+
+    def test_builder_sums_repeated_pairs(self):
+        g = make_digraph("ab", [("a", "b", 1), ("a", "b", 2)])
         assert list(g.arcs()) == [(0, 1, 3)]
         assert g.arc_count == 1
         assert g.in_degree(1) == 1
 
     def test_self_loop_rejected(self):
-        g = DiGraph(["a", "b"])
         with pytest.raises(LexnetError, match=r"self-citation on node 0 \('a'\)"):
-            g.add_edge(0, 0, 1)
+            DiGraph(["a", "b"], {("a", "a"): 1})
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            DiGraph(["a", "b"], {("a", "b"): 0})
 
     def test_two_node_density(self):
         from lexnet.metrics import density
 
-        g = DiGraph(["a", "b"])
-        g.add_edge(0, 1)
+        g = DiGraph(["a", "b"], {("a", "b"): 1})
         assert g.arc_count == 1
         assert density(g) == 0.5
 
     def test_unknown_node(self):
-        g = DiGraph(["a", "b"])
+        with pytest.raises(LexnetError, match="no node with slug 'z'"):
+            DiGraph(["a", "b"], {("a", "z"): 1})
         with pytest.raises(LexnetError, match=r"node id 5 outside 0\.\.1"):
-            g.add_edge(0, 5)
+            DiGraph(["a", "b"]).remove_nodes({5})
 
 
 class TestUGraph:
@@ -216,12 +224,13 @@ class TestProjection:
         rng = random.Random(23)
         for _ in range(20):
             g = random_digraph(rng, 7, 12)
-            sym = DiGraph(g.slugs)
             arcs = {(s, t) for s, t, _ in g.arcs()}
+            doubled = []
             for s, t, w in g.arcs():
-                sym.add_edge(s, t, w)
+                doubled.append((s, t, w))
                 if (t, s) not in arcs:
-                    sym.add_edge(t, s, w)
+                    doubled.append((t, s, w))
+            sym = digraph_from_ids(g.slugs, doubled)
             assert list(sym.undirected_projection().edges()) == list(
                 g.undirected_projection().edges()
             )

@@ -84,10 +84,8 @@ class TestDensity:
     def test_arithmetic(self):
         from lexnet.graph import DiGraph
 
-        g = DiGraph([f"c{i}" for i in range(52)])
         pairs = [(u, v) for u in range(52) for v in range(52) if u != v]
-        for u, v in pairs[:265]:
-            g.add_edge(u, v)
+        g = DiGraph([f"c{i}" for i in range(52)], {(f"c{u}", f"c{v}"): 1 for u, v in pairs[:265]})
         assert density(g) == pytest.approx(265 / 2652, abs=1e-15)
 
     def test_single_node_degenerate(self):

@@ -365,8 +365,7 @@ class TestAssessment:
     def test_degenerate(self):
         from lexnet.graph import DiGraph
 
-        g = DiGraph(["a", "b"])
-        g.add_edge(0, 1)
+        g = DiGraph(["a", "b"], {("a", "b"): 1})
         with pytest.raises(DegenerateGraphError):
             assess(g, None, samples=5, seed=0)
 

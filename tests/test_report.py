@@ -1,6 +1,7 @@
 """Edge-list parsing, DOT/GraphML export, canonical JSON reports."""
 
 import json
+import warnings
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
@@ -98,6 +99,14 @@ class TestParseEdgeList:
             g = parse_edge_list("a\tb\t1\na\tb\t2\n")
         assert weights_by_slug(g) == {("a", "b"): 3}
         assert g.arc_count == 1
+
+    def test_no_duplicate_warning_before_a_failing_line(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(MalformedLineError) as exc:
+                parse_edge_list("a\tb\t1\na\tb\t2\nbroken line\n")
+        assert exc.value.lineno == 3
+        assert [w for w in caught if issubclass(w.category, DuplicateRecordWarning)] == []
 
     def test_round_trip(self):
         registry = load_registry(fixture_registry_text())
