@@ -182,6 +182,24 @@ def phi_table(ug: UGraph) -> dict[int, float | None]:
     return dict(enumerate(reversed(phis)))
 
 
+def phi_at(ug: UGraph, k: int) -> float | None:
+    """phi(k) alone, for any k >= 0: ``phi_table(ug).get(k)``, counted on the rich nodes only.
+
+    The rich nodes R are those of degree above k, and phi(k) is e_k, the
+    edges within R, over R's possible pairs. A degree-preserving rewiring
+    keeps R, so a null graph's phi(k) costs one pass over R's neighbour
+    sets rather than a whole table. The expression is phi_table's, so the
+    float is the same.
+    """
+    adj = ug.adj
+    rich = {v for v, nbrs in enumerate(adj) if len(nbrs) > k}
+    n_k = len(rich)
+    if n_k < 2:
+        return None
+    e_k = sum(len(adj[v] & rich) for v in rich) // 2
+    return 2.0 * e_k / (n_k * (n_k - 1))
+
+
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
     """Mean and sample standard deviation (0.0 for a single value).
 
@@ -323,7 +341,7 @@ def betweenness_scores(ug: UGraph) -> list[float]:
     adj = [sorted(nbrs) for nbrs in ug.adj]
     raw = [0.0] * n
     source_us = (n + 2 * ug.edge_count) / 5  # 0.11-0.2 us per node and arc end
-    for delta in ordered_map(partial(_dependencies, adj), range(n), source_us):
+    for delta in ordered_map(partial(_dependencies, adj), range(n), n * source_us):
         raw = list(map(add, raw, delta))
     if n < 3:
         return [0.0] * n

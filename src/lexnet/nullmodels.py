@@ -2,15 +2,22 @@
 
 Seeded generators produce identical graphs for identical inputs; multi
 sample statistics derive one child seed per sample, so a sample does not
-depend on the order or the process that draws it, and the samples of one
-ensemble are drawn through ``ordered_map``, on the usable CPUs when the
-ensemble is large enough to pay for the forks.
+depend on the order or the process that draws it. A null ensemble is
+the task that draws sample i and its sample count (``_Ensemble``).
+:func:`analysis_nulls` draws every sample one analysis reads (the
+cohesion test's rewirings, then the ER and the WS samples) through one
+``ordered_map``, so its children are forked once, on the usable CPUs
+when the samples are worth the forks. :func:`club_cohesion`,
+:func:`er_baseline` and :func:`ws_baseline` each read their own
+consecutive slice of that stream, in sample order; called without one,
+each draws its own samples through the same task.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .config import PipelineConfig
 from .errors import DegenerateGraphError, LexnetError
@@ -22,7 +29,7 @@ from .metrics import (
     global_clustering,
     mean_std,
     normalized_rich_club,
-    phi_table,
+    phi_at,
 )
 from .parallel import ordered_map
 from .seeding import derive_seed
@@ -116,7 +123,9 @@ def watts_strogatz(n: int, k_even: int, p: float, seed: int) -> UGraph:
     return UGraph(adj)
 
 
-def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGraph:
+def degree_preserving_rewire(
+    ug: UGraph, swap_attempts: int, seed: int, edges: Sequence[tuple[int, int]] | None = None
+) -> UGraph:
     """Randomize by repeated double edge swaps; degrees are exactly preserved.
 
     Each attempt draws two distinct edges and an orientation, and swaps
@@ -126,8 +135,16 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
     (``getrandbits`` of the bound's bit length, redrawn while it is out of
     range), and the orientation by ``rng.random()``, so a seed gives the
     same graph as the ``randrange`` loop with less interpreter work per
-    attempt. The swapped adjacency becomes the result without re-adding
-    its edges.
+    attempt. edges, when given, is ``list(ug.edges())``, for a caller that
+    rewires one graph many times; it is copied, not changed.
+
+    The swapped neighbour sets become the result as they are, neither
+    re-added nor compacted. Swap churn leaves their tables about 1.6x
+    the size of freshly built ones, but a compacting copy holds both at
+    once: it raised a rewiring's traced peak from 62 to 90 KiB on the
+    fixture and from 632 to 1,022 KiB on an ER graph of 500 nodes and
+    2,500 edges, for a null graph that lives only until its phi(k) is
+    counted.
     """
     m = ug.edge_count
     if m < 2:  # the draw of a second, distinct edge would never end
@@ -138,7 +155,7 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
     m_bits = m.bit_length()
     rest = m - 1
     rest_bits = rest.bit_length()
-    edges = list(ug.edges())
+    edges = list(ug.edges() if edges is None else edges)
     adj = [set(nbrs) for nbrs in ug.adj]
     for _ in range(swap_attempts):
         i = getrandbits(m_bits)
@@ -172,9 +189,7 @@ def degree_preserving_rewire(ug: UGraph, swap_attempts: int, seed: int) -> UGrap
         b_nbrs.add(c)
         edges[i] = (a, d) if a < d else (d, a)
         edges[j] = (c, b) if c < b else (b, c)
-    # compact copies: swap churn leaves set tables about 1.6x the size of
-    # freshly built ones, which shows in peak memory on large graphs
-    return UGraph([set(nbrs) for nbrs in adj])
+    return UGraph(adj)
 
 
 # -- baseline statistics -----------------------------------------------------------
@@ -219,21 +234,122 @@ def _stats_over(model: str, params: dict, samples: list[tuple], seed: int) -> Nu
     )
 
 
-def er_baseline(n: int, m: int, samples: int, seed: int) -> NullModelStats:
-    stats = list(ordered_map(
+# -- null ensembles --------------------------------------------------------------------
+
+
+class _Ensemble(NamedTuple):
+    """A null ensemble: sample i is ``draw(i)``, estimated at cost_us microseconds."""
+
+    draw: Callable[[int], object] | None  # None only when there are no samples
+    samples: int
+    cost_us: float
+
+
+def _draw_samples(ensembles: Sequence[_Ensemble]) -> Iterator:
+    """Every sample of the ensembles, in order, from one ``ordered_map``.
+
+    The tasks of all the ensembles share its workers. Read it to the end
+    or close it before another ``ordered_map`` starts.
+    """
+    tasks = [(e.draw, i) for e in ensembles for i in range(e.samples)]
+    return ordered_map(_draw, tasks, sum(e.samples * e.cost_us for e in ensembles))
+
+
+def _draw(task: tuple[Callable[[int], object], int]) -> object:
+    draw, i = task
+    return draw(i)
+
+
+def _read(drawn: Iterator | None, ensemble: _Ensemble) -> list:
+    """The ensemble's samples: the next ones of drawn, or drawn here when drawn is None."""
+    if drawn is None:
+        return list(_draw_samples([ensemble]))
+    return list(islice(drawn, ensemble.samples))
+
+
+def _least_degree(ug: UGraph, club: RichClub) -> int:
+    """k of the cohesion test: the least degree of a club member on the projection."""
+    return min(len(ug.adj[v]) for v in club.members)
+
+
+def _rewirings(ug: UGraph, k: int, config: PipelineConfig) -> _Ensemble:
+    """The cohesion test's nulls: phi(k) of ``config.null_samples`` rewirings of ug.
+
+    There are none when ug has fewer than two edges to rewire or phi(k) is
+    undefined, since the test then reads none.
+    """
+    if ug.edge_count < 2 or phi_at(ug, k) is None:
+        return _Ensemble(None, 0, 0.0)
+    attempts = config.rewire_budget_factor * ug.edge_count
+    seed = derive_seed(config.seed, "phi-norm")
+    edges = list(ug.edges())
+
+    def null_phi(i: int) -> float:
+        null = degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"), edges)
+        return phi_at(null, k)  # a rewiring keeps every degree, so phi(k) stays defined
+
+    # a rewiring takes 0.8-1 us per swap attempt
+    return _Ensemble(null_phi, config.null_samples, attempts)
+
+
+def _er_samples(n: int, m: int, samples: int, seed: int) -> _Ensemble:
+    return _Ensemble(
         lambda i: _sample_stats(erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}"))),
-        range(samples),
+        samples,
         n + 2 * m,  # a sample's draw and statistics take 0.7-1.8 us per node and arc end
-    ))
+    )
+
+
+def _ws_samples(n: int, k_even: int, p: float, samples: int, seed: int) -> _Ensemble:
+    return _Ensemble(
+        lambda i: _sample_stats(watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}"))),
+        samples,
+        n + n * k_even,  # as for ER, with n * k_even / 2 edges
+    )
+
+
+def _baseline_args(n: int, m: int, config: PipelineConfig) -> tuple[tuple, tuple]:
+    """The arguments of er_baseline and ws_baseline, density-matched to n nodes and m edges."""
+    samples = config.null_samples
+    mean_degree = 2.0 * m / n
+    k_even = max(2, int(round(mean_degree / 2.0)) * 2)
+    if k_even >= n:
+        k_even = (n - 1) if (n - 1) % 2 == 0 else n - 2
+    return (
+        (n, m, samples, derive_seed(config.seed, "er-baseline")),
+        (n, k_even, config.ws_p, samples, derive_seed(config.seed, "ws-baseline")),
+    )
+
+
+def analysis_nulls(ug: UGraph, club: RichClub, config: PipelineConfig, baselines: bool) -> Iterator:
+    """Every null sample one analysis reads, in the order it reads them, from one ``ordered_map``.
+
+    First the rewirings :func:`club_cohesion` reads, then, with
+    baselines, the ER and the WS samples of
+    :func:`concentrated_world_assessment` (none below 3 nodes, where it
+    raises before reading any). Pass the iterator to each of them in that
+    order, and close it before another ``ordered_map`` starts.
+    """
+    ensembles = [_rewirings(ug, _least_degree(ug, club), config)]
+    if baselines and ug.node_count >= 3:
+        er_args, ws_args = _baseline_args(ug.node_count, ug.edge_count, config)
+        ensembles += [_er_samples(*er_args), _ws_samples(*ws_args)]
+    return _draw_samples(ensembles)
+
+
+def er_baseline(
+    n: int, m: int, samples: int, seed: int, drawn: Iterator | None = None
+) -> NullModelStats:
+    """Statistics of ``samples`` ER graphs, read from drawn (:func:`analysis_nulls`) if given."""
+    stats = _read(drawn, _er_samples(n, m, samples, seed))
     return _stats_over("er_gnm", {"n": n, "m": m}, stats, seed)
 
 
-def ws_baseline(n: int, k_even: int, p: float, samples: int, seed: int) -> NullModelStats:
-    stats = list(ordered_map(
-        lambda i: _sample_stats(watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}"))),
-        range(samples),
-        n + n * k_even,  # as for er_baseline, with n * k_even / 2 edges
-    ))
+def ws_baseline(
+    n: int, k_even: int, p: float, samples: int, seed: int, drawn: Iterator | None = None
+) -> NullModelStats:
+    """Statistics of ``samples`` WS graphs, read from drawn (:func:`analysis_nulls`) if given."""
+    stats = _read(drawn, _ws_samples(n, k_even, p, samples, seed))
     return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, stats, seed)
 
 
@@ -254,7 +370,9 @@ class Assessment(NamedTuple):
     verdict: str
 
 
-def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig):
+def club_cohesion(
+    g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig, drawn: Iterator | None = None
+):
     """Check the two-part cohesion rule for a candidate rich club.
 
     Cohesion holds when the club's internal arc density strictly exceeds
@@ -265,19 +383,17 @@ def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig
     the "phi-norm" stream of ``config.seed``. Returns
     (validated, k, NormalizedPhi-or-None): None, and not validated, when
     the graph has fewer than two edges to rewire, phi(k) is undefined or
-    its null mean is zero.
+    its null mean is zero; in the first two cases no rewiring is drawn.
+    Each rewiring task keeps only its graph's phi(k). The rewirings are
+    read from drawn (see :func:`analysis_nulls`) when it is given.
     """
-    k = min(len(ug.adj[v]) for v in club.members)
-    attempts = config.rewire_budget_factor * ug.edge_count
-    seed = derive_seed(config.seed, "phi-norm")
-
-    def null_phi(i: int) -> float:
-        null = degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"))
-        return phi_table(null)[k]  # a rewiring keeps every degree, so phi(k) stays defined
-
-    # drawn only when normalized_rich_club reads the first one; a rewiring
-    # takes 0.8-1 us per swap attempt
-    null_phis = ordered_map(null_phi, range(config.null_samples), attempts)
+    k = _least_degree(ug, club)
+    # normalized_rich_club reads all the rewirings or, when phi(k) is
+    # undefined, none, as _rewirings draws them
+    if drawn is None:
+        null_phis = _draw_samples([_rewirings(ug, k, config)])
+    else:
+        null_phis = islice(drawn, config.null_samples)
     norm = normalized_rich_club(ug, k, null_phis) if ug.edge_count >= 2 else None
     if norm is None:
         return False, k, None
@@ -286,7 +402,11 @@ def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig
 
 
 def concentrated_world_assessment(
-    g: DiGraph, ug: UGraph, rich_club_present: bool, config: PipelineConfig
+    g: DiGraph,
+    ug: UGraph,
+    rich_club_present: bool,
+    config: PipelineConfig,
+    drawn: Iterator | None = None,
 ) -> Assessment:
     """Classify the network against density-matched ER and WS baselines.
 
@@ -294,7 +414,8 @@ def concentrated_world_assessment(
     verdict of :func:`club_cohesion` on the candidate rich club; both are
     taken as inputs so one analysis computes each of them once. Each
     baseline draws ``config.null_samples`` graphs (Watts-Strogatz with
-    rewiring probability ``config.ws_p``) from a stream of ``config.seed``.
+    rewiring probability ``config.ws_p``) from a stream of ``config.seed``,
+    read from drawn (see :func:`analysis_nulls`) when it is given.
     The verdict rule, whose thresholds are config fields, evaluated in order:
       concentrated_world - mean total degree >= degree_fraction * (n-1)
         and the rich club's cohesion validates;
@@ -314,13 +435,9 @@ def concentrated_world_assessment(
     observed_path = average_path_length(ug)
     mean_total_degree = 2.0 * g.arc_count / n
 
-    samples = config.null_samples
-    er = er_baseline(n, m, samples, derive_seed(config.seed, "er-baseline"))
-    mean_degree = 2.0 * m / n
-    k_even = max(2, int(round(mean_degree / 2.0)) * 2)
-    if k_even >= n:
-        k_even = (n - 1) if (n - 1) % 2 == 0 else n - 2
-    ws = ws_baseline(n, k_even, config.ws_p, samples, derive_seed(config.seed, "ws-baseline"))
+    er_args, ws_args = _baseline_args(n, m, config)
+    er = er_baseline(*er_args, drawn)
+    ws = ws_baseline(*ws_args, drawn)
     baselines = (er, ws)
 
     undirected_density = 2.0 * m / (n * (n - 1))

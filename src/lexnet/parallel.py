@@ -23,7 +23,7 @@ R = TypeVar("R")
 _FORK_US = 4_500
 
 
-def _workers(items: int, cost_us: float) -> int:
+def _workers(items: int, work_us: float) -> int:
     """How many processes share the items: as many as the work pays for, at most one per CPU.
 
     The parent forks the children one after another, so N workers on W
@@ -32,7 +32,7 @@ def _workers(items: int, cost_us: float) -> int:
     in-process and, with many CPUs, the forks from outweighing the work.
     One where forking is unsafe.
     """
-    count = min(items, math.isqrt(int(items * cost_us // _FORK_US)))
+    count = min(items, math.isqrt(int(work_us // _FORK_US)))
     if count < 2 or not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
     import threading
@@ -44,11 +44,12 @@ def _workers(items: int, cost_us: float) -> int:
     return min(count, len(os.sched_getaffinity(0)))
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], cost_us: float) -> Iterator[R]:
+def ordered_map(fn: Callable[[T], R], items: Sequence[T], work_us: float) -> Iterator[R]:
     """``map(fn, items)``, lazily, with the items of N - 1 workers run in forked children.
 
-    cost_us is the caller's estimate of one task's time in microseconds;
-    it only sets the number of workers N, never a result.
+    work_us is the caller's estimate of all the items' time in
+    microseconds, the sum of each task's own when they differ; it only
+    sets the number of workers N, never a result.
 
     Nothing runs before the first result is read. Then item i goes to
     worker i mod N: the parent is worker 0 and computes its items when
@@ -61,11 +62,16 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], cost_us: float) -> Ite
     Linux), which costs time, not bytes. When a child could not be forked,
     or its stream ends early, the parent computes the rest of its items.
     Every child is reaped when the iterator is exhausted, raises or is
-    closed. Consume one iterator before starting another: a second call's
-    children would hold the first call's pipes open.
+    closed. A caller that stops reading early closes the iterator, and
+    exhausts or closes one iterator before starting another: a second
+    call's children would hold the first call's pipes open.
     """
-    workers = _workers(len(items), cost_us)
+    workers = _workers(len(items), work_us)
     children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> (pid, read end of its pipe)
+    if workers > 1:
+        # every child pickles and the parent unpickles: loaded once here, a
+        # child inherits the module rather than importing it after the fork
+        import pickle  # noqa: F401
     try:
         for w in range(1, workers):
             inherited = [pipe.fileno() for _, pipe in children.values()]

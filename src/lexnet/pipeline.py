@@ -10,7 +10,8 @@ other sections were computed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from contextlib import closing
+from typing import Iterator, Sequence
 
 from . import __version__
 from .communities import reduced_network_partition
@@ -28,7 +29,7 @@ from .metrics import (
     top_cited,
     top_citing,
 )
-from .nullmodels import club_cohesion, concentrated_world_assessment
+from .nullmodels import analysis_nulls, club_cohesion, concentrated_world_assessment
 from .report import SCHEMA_VERSION, SECTION_TYPES
 
 
@@ -126,9 +127,13 @@ def build_communities_section(g: DiGraph, club: RichClub, config: PipelineConfig
 
 
 def build_baseline_sections(
-    g: DiGraph, ug: UGraph, rich_club_present: bool, config: PipelineConfig
+    g: DiGraph,
+    ug: UGraph,
+    rich_club_present: bool,
+    config: PipelineConfig,
+    drawn: Iterator,
 ) -> tuple[list, dict]:
-    assessment = concentrated_world_assessment(g, ug, rich_club_present, config)
+    assessment = concentrated_world_assessment(g, ug, rich_club_present, config, drawn)
     baselines = [stats._asdict() for stats in assessment.baselines]
     assessment_section = {
         "observed": {
@@ -168,22 +173,28 @@ def build_sections(
     The undirected projection, the rich club and its cohesion test are
     computed once, whatever is named, and shared by every section that
     uses them. Communities, baselines with the assessment, and centrality
-    are the costly sections; each is built only when named.
+    are the costly sections; each is built only when named. The null
+    samples that the cohesion test and the baselines read come from one
+    ``ordered_map``, which forks its children once; the sections between
+    the two readers are built while the children draw, and the map is
+    closed, its children reaped, before betweenness starts its own.
     """
     ug = g.undirected_projection()
     club = rich_club_members(g, config.k_citing, config.k_cited)
-    cohesion = club_cohesion(g, ug, club, config)
-    sections = {
-        "graph_summary": build_graph_summary(g, ug),
-        "roles": build_roles_section(g),
-        "rankings": build_rankings_section(g, config),
-        "rich_club": build_rich_club_section(g, ug, club, cohesion, config),
-        "provenance": build_provenance(config, inputs, run_id),
-    }
-    if "baselines" in names or "assessment" in names:
-        sections["baselines"], sections["assessment"] = build_baseline_sections(
-            g, ug, cohesion[0], config
-        )
+    baselines = "baselines" in names or "assessment" in names
+    with closing(analysis_nulls(ug, club, config, baselines)) as drawn:
+        cohesion = club_cohesion(g, ug, club, config, drawn)
+        sections = {
+            "graph_summary": build_graph_summary(g, ug),
+            "roles": build_roles_section(g),
+            "rankings": build_rankings_section(g, config),
+            "rich_club": build_rich_club_section(g, ug, club, cohesion, config),
+            "provenance": build_provenance(config, inputs, run_id),
+        }
+        if baselines:
+            sections["baselines"], sections["assessment"] = build_baseline_sections(
+                g, ug, cohesion[0], config, drawn
+            )
     if "centrality" in names:
         sections["centrality"] = build_centrality_section(g, ug)
     # communities project the reduced network; freeing the whole graph's

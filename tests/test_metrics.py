@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexnet.errors import DegenerateGraphError, LexnetError
 from lexnet.metrics import (
@@ -19,12 +20,13 @@ from lexnet.metrics import (
     harmonic_closeness_scores,
     mean_std,
     normalized_rich_club,
+    phi_at,
     phi_table,
     rich_club_members,
     top_cited,
     top_citing,
 )
-from lexnet.nullmodels import erdos_renyi_gnm, watts_strogatz
+from lexnet.nullmodels import degree_preserving_rewire, erdos_renyi_gnm, watts_strogatz
 
 from conftest import (
     brute_force_betweenness,
@@ -283,6 +285,21 @@ class TestPhiTable:
     @settings(max_examples=200, derandomize=True)
     def test_matches_brute_force_property(self, ug):
         assert phi_table(ug) == self.per_k(ug)
+
+    @given(ugraphs(), st.integers(0, 2**32))
+    @settings(max_examples=200, derandomize=True)
+    def test_one_k_alone_is_the_table_entry_property(self, ug, seed):
+        # on the graph and on a rewiring of it, whose rich nodes are the same
+        graphs = [ug]
+        if ug.edge_count >= 2:
+            graphs.append(degree_preserving_rewire(ug, 10 * ug.edge_count, seed))
+        for graph in graphs:
+            table = phi_table(graph)
+            for k in range(max(table) + 2):
+                if table.get(k) is None:
+                    assert phi_at(graph, k) is None
+                else:
+                    assert phi_at(graph, k) == table[k] == brute_force_phi(graph, k)
 
     def test_edgeless_has_only_k_zero(self):
         assert phi_table(make_ugraph("abc", [])) == {0: None}

@@ -157,6 +157,14 @@ class TestRewire:
         b = degree_preserving_rewire(ug, 200, seed=8)
         assert list(a.edges()) == list(b.edges())
 
+    def test_a_given_edge_list_is_read_not_changed(self):
+        ug = random_ugraph(random.Random(5), 10, 20)
+        edges = list(ug.edges())
+        for seed in range(5):
+            given_edges = degree_preserving_rewire(ug, 200, seed, edges)
+            assert given_edges.adj == degree_preserving_rewire(ug, 200, seed).adj
+        assert edges == list(ug.edges())
+
 
 def _inline_randbelow(rng: random.Random, n: int) -> int:
     """The draw the generators inline in place of rng.randrange(n)."""
@@ -320,12 +328,31 @@ def cohesion(g: DiGraph, samples: int, seed: int) -> _Normalized:
     return _Normalized(len(drawn), norm)
 
 
+def analysis(g: DiGraph, samples: int, seed: int) -> _Normalized:
+    """build_sections' rich club and baselines of g's (8, 8) rich club on one CPU.
+
+    Counts the rewirings drawn, and checks that each baseline read as many samples.
+    """
+    import lexnet.nullmodels
+
+    drawn = []
+    rewire = lexnet.nullmodels.degree_preserving_rewire
+    config = PipelineConfig(k_citing=8, k_cited=8, null_samples=samples, seed=seed)
+    with mock.patch.object(lexnet.nullmodels, "degree_preserving_rewire",
+                           lambda *args: drawn.append(1) or rewire(*args)), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        sections = build_sections(g, config, ["rich_club", "baselines"])
+    assert [stats["samples"] for stats in sections["baselines"]] == [samples, samples]
+    return _Normalized(len(drawn), sections["rich_club"]["phi_normalized"])
+
+
 class TestBaselines:
     @pytest.mark.parametrize(("statistic", "args"), [
         (er_baseline, (200, 800)),
         (ws_baseline, (200, 8, 0.1)),
         (rewired_rich_club, (erdos_renyi_gnm(200, 800, 1), 8)),
         (cohesion, (digraph_from_ugraph(erdos_renyi_gnm(200, 800, 1)),)),
+        (analysis, (digraph_from_ugraph(erdos_renyi_gnm(200, 800, 1)),)),
     ])
     def test_samples_are_held_one_at_a_time(self, statistic, args):
         _, one = _traced_peak(statistic, *args, 1, 5)
@@ -428,4 +455,7 @@ def test_cohesion_draws_no_rewiring_it_cannot_use(reason, rewirings_drawn, monke
     config = PipelineConfig(k_citing=k_citing, k_cited=k_cited, null_samples=1)
     club = rich_club_members(g, k_citing, k_cited)
     assert club_cohesion(g, g.undirected_projection(), club, config) == (False, k, None)
+    assert len(calls) == rewirings_drawn
+    calls.clear()
+    assert build_sections(g, config, ["rich_club"])["rich_club"]["phi_normalized"] is None
     assert len(calls) == rewirings_drawn

@@ -3,6 +3,7 @@
 import io
 import os
 import pickle
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ import pytest
 
 import lexnet.parallel
 from lexnet.cli import run
+from lexnet.config import PipelineConfig
 from lexnet.errors import DegenerateGraphError, LexnetError, MalformedLineError
 from lexnet.metrics import betweenness_scores
 from lexnet.nullmodels import erdos_renyi_gnm
@@ -19,7 +21,7 @@ from lexnet.parallel import _FORK_US, _receive, ordered_map
 from conftest import reference_betweenness, ugraph
 
 CPU_COUNTS = (1, 2, 3)
-WORTH_A_CHUNK = 100 * _FORK_US  # a task's cost for which a call of 2 or more tasks forks
+WORTH_A_CHUNK = 100 * _FORK_US  # work worth 10 workers: a call of 2 or more tasks forks
 
 
 @pytest.fixture(autouse=True)
@@ -65,25 +67,49 @@ def test_results_in_input_order_one_chunk_per_cpu(count, monkeypatch):
 def test_as_many_chunks_as_the_work_pays_for(forks_of_work, workers, monkeypatch):
     use_cpus(monkeypatch, 8)
     forked = count_forks(monkeypatch)
-    results = list(ordered_map(_pid_of, range(100), forks_of_work * _FORK_US / 100))
+    results = list(ordered_map(_pid_of, range(100), forks_of_work * _FORK_US))
     assert [x for x, _ in results] == list(range(100))
     assert len(set(pid for _, pid in results)) == workers
     assert len(forked) == workers - 1
 
 
+def workers_per_map(monkeypatch) -> list:
+    """The number of workers of each ordered_map call, in call order."""
+    workers = []
+
+    def workers_for(items, work_us, rule=lexnet.parallel._workers):
+        workers.append(rule(items, work_us))
+        return workers[-1]
+
+    monkeypatch.setattr(lexnet.parallel, "_workers", workers_for)
+    return workers
+
+
 def test_the_fixture_forks_for_its_ensembles_but_not_its_betweenness(fixture_graph, monkeypatch):
-    from lexnet.config import PipelineConfig
-    from lexnet.metrics import rich_club_members
-    from lexnet.nullmodels import club_cohesion
+    from lexnet.pipeline import analyze_graph
 
     use_cpus(monkeypatch, 64)
     forked = count_forks(monkeypatch)
-    ug = fixture_graph.undirected_projection()
-    betweenness_scores(ug)  # 52 sources of about 0.1 ms each
-    assert forked == []
-    club = rich_club_members(fixture_graph, 5, 6)
-    club_cohesion(fixture_graph, ug, club, PipelineConfig())  # 100 rewirings of about 2 ms
-    assert len(forked) == 6  # sqrt(100 x 2,410 attempts / 4,500) = 7 workers
+    workers = workers_per_map(monkeypatch)
+    analyze_graph(fixture_graph, PipelineConfig())
+    # the null samples: 100 rewirings of 2,410 swap attempts, and 100 ER and
+    # 100 WS samples of 534 and 572 node and arc ends, at about 1 us each;
+    # sqrt(351,600 us / 4,500 us) = 8 workers. Then 52 Brandes sources of about 0.1 ms
+    assert workers == [8, 1]
+    assert len(forked) == 7
+
+
+def test_the_parent_loads_pickle_before_its_first_fork_and_only_then(monkeypatch):
+    monkeypatch.delitem(sys.modules, "pickle")
+    use_cpus(monkeypatch, 1)
+    assert [x for x, _ in ordered_map(_pid_of, range(4), WORTH_A_CHUNK)] == list(range(4))
+    assert "pickle" not in sys.modules  # a map that forks nothing imports nothing
+    loaded = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: loaded.append("pickle" in sys.modules) or fork())
+    use_cpus(monkeypatch, 3)
+    assert [x for x, _ in ordered_map(_pid_of, range(4), WORTH_A_CHUNK)] == list(range(4))
+    assert loaded == [True, True]  # so no child imports it after its fork
 
 
 def test_more_cpus_than_items(monkeypatch):
@@ -246,28 +272,67 @@ def test_fixture_report_does_not_depend_on_the_cpu_count(inputs, monkeypatch):
 
 
 def test_a_report_whose_every_stage_forks_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
-    # at 300 nodes and 6 null samples the work rule forks betweenness, the
-    # rewirings and both ensembles, where the fixture's betweenness stays in-process
+    # at 300 nodes and 6 null samples the work rule forks betweenness as well as
+    # the null samples, where the fixture's betweenness stays in-process
     edges = tmp_path / "edges.tsv"
     edges.write_text("".join(f"n{u}\tn{v}\t1\n" for u, v in erdos_renyi_gnm(300, 1500, 7).edges()),
                      encoding="utf-8")
-    workers = []
-
-    def workers_for(items, cost_us, rule=lexnet.parallel._workers):
-        workers.append(rule(items, cost_us))
-        return workers[-1]
-
-    monkeypatch.setattr(lexnet.parallel, "_workers", workers_for)
+    workers = workers_per_map(monkeypatch)
     reports = []
     for count in CPU_COUNTS:
         use_cpus(monkeypatch, count)
         workers.clear()
         out = tmp_path / f"report-{count}.json"
         assert run(["analyze", "--edges", str(edges), "--null-samples", "6", "--out", str(out)]) == 0
-        assert workers == [min(count, most) for most in (4, 2, 2, 6)]  # cohesion, ER, WS, Brandes
+        assert workers == [min(count, most) for most in (5, 6)]  # the null samples, Brandes
         reports.append(out.read_bytes())
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
+
+
+def test_the_fixture_analysis_forks_once_for_all_its_null_samples(inputs, monkeypatch):
+    monkeypatch.chdir(inputs)
+    use_cpus(monkeypatch, 2)
+    workers = workers_per_map(monkeypatch)
+    forked = count_forks(monkeypatch)
+    assert run(["analyze", "--edges", "edges.tsv", "--nodes", "nodes.txt", "--out", "r.json"]) == 0
+    assert workers == [2, 1]  # the rewirings, ER and WS samples in one map; then betweenness
+    assert len(forked) == 1
+
+
+def _has_child() -> bool:
+    """Whether this process has a child, without reaping one that has exited."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises-between-slices"])
+def test_build_sections_leaves_no_child_of_its_null_samples(fails, fixture_graph, monkeypatch):
+    import lexnet.pipeline
+    from lexnet.pipeline import REPORT_SECTIONS, build_sections
+
+    use_cpus(monkeypatch, 3, any_work=True)
+    had_child = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: had_child.append(_has_child()) or fork())
+    if fails:
+        # built after the cohesion test reads its rewirings, before the baselines read theirs
+        def fail(*args):
+            raise LexnetError("between two slices")
+
+        monkeypatch.setattr(lexnet.pipeline, "build_provenance", fail)
+        with pytest.raises(LexnetError, match="^between two slices$"):
+            build_sections(fixture_graph, PipelineConfig(null_samples=6), REPORT_SECTIONS)
+        assert had_child == [False, True]  # the null samples' two children
+    else:
+        build_sections(fixture_graph, PipelineConfig(null_samples=6), REPORT_SECTIONS)
+        # the null samples' two children are reaped before betweenness forks its own
+        assert had_child == [False, True, False, True]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(("records", "code", "forks"), [
