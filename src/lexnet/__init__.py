@@ -31,8 +31,9 @@ _SOURCES = {
         "metrics",
     ),
     **dict.fromkeys(
-        ("Assessment", "NullModelStats", "club_cohesion", "concentrated_world_assessment",
-         "degree_preserving_rewire", "erdos_renyi_gnm", "watts_strogatz"),
+        ("Assessment", "NullModelStats", "Nulls", "analysis_nulls", "club_cohesion",
+         "concentrated_world_assessment", "degree_preserving_rewire", "erdos_renyi_gnm",
+         "watts_strogatz"),
         "nullmodels",
     ),
     **dict.fromkeys(

@@ -232,11 +232,11 @@ def normalized_rich_club(ug: UGraph, k: int, null_phis: Iterable[float]) -> Norm
 
     null_phis holds phi(k) of each null graph (a degree-preserving
     rewiring of ug, where phi(k) is defined whenever it is in ug) and is
-    not read at all when phi(k) is undefined. None when phi(k) is
-    undefined or the null mean is zero; an empty ``null_phis`` raises
-    ValueError.
+    not read at all when phi(k) is undefined, as it is for k < 0. None
+    when phi(k) is undefined or the null mean is zero; an empty
+    ``null_phis`` raises ValueError.
     """
-    phi = phi_table(ug).get(k)
+    phi = phi_at(ug, k) if k >= 0 else None
     if phi is None:
         return None
     values = list(null_phis)

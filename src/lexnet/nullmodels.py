@@ -4,20 +4,20 @@ Seeded generators produce identical graphs for identical inputs; multi
 sample statistics derive one child seed per sample, so a sample does not
 depend on the order or the process that draws it. A null ensemble is
 the task that draws sample i and its sample count (``_Ensemble``).
-:func:`analysis_nulls` draws every sample one analysis reads (the
-cohesion test's rewirings, then the ER and the WS samples) through one
-``ordered_map``, so its children are forked once, on the usable CPUs
-when the samples are worth the forks. :func:`club_cohesion`,
-:func:`er_baseline` and :func:`ws_baseline` each read their own
-consecutive slice of that stream, in sample order; called without one,
-each draws its own samples through the same task.
+:func:`analysis_nulls` is the one place that draws null samples: every
+sample one analysis reads (the cohesion test's rewirings, then the ER
+and the WS samples), through one ``ordered_map`` whose children are
+forked once, on the usable CPUs when the samples are worth the forks,
+and reaped before it returns. It returns them as values (:class:`Nulls`),
+which :func:`club_cohesion` and :func:`concentrated_world_assessment`
+take as an argument; :func:`er_baseline` and :func:`ws_baseline` fold a
+baseline's samples into its statistics.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .config import PipelineConfig
 from .errors import DegenerateGraphError, LexnetError
@@ -245,26 +245,12 @@ class _Ensemble(NamedTuple):
     cost_us: float
 
 
-def _draw_samples(ensembles: Sequence[_Ensemble]) -> Iterator:
-    """Every sample of the ensembles, in order, from one ``ordered_map``.
-
-    The tasks of all the ensembles share its workers. Read it to the end
-    or close it before another ``ordered_map`` starts.
-    """
-    tasks = [(e.draw, i) for e in ensembles for i in range(e.samples)]
-    return ordered_map(_draw, tasks, sum(e.samples * e.cost_us for e in ensembles))
+_NO_SAMPLES = _Ensemble(None, 0, 0.0)
 
 
 def _draw(task: tuple[Callable[[int], object], int]) -> object:
     draw, i = task
     return draw(i)
-
-
-def _read(drawn: Iterator | None, ensemble: _Ensemble) -> list:
-    """The ensemble's samples: the next ones of drawn, or drawn here when drawn is None."""
-    if drawn is None:
-        return list(_draw_samples([ensemble]))
-    return list(islice(drawn, ensemble.samples))
 
 
 def _least_degree(ug: UGraph, club: RichClub) -> int:
@@ -279,7 +265,7 @@ def _rewirings(ug: UGraph, k: int, config: PipelineConfig) -> _Ensemble:
     undefined, since the test then reads none.
     """
     if ug.edge_count < 2 or phi_at(ug, k) is None:
-        return _Ensemble(None, 0, 0.0)
+        return _NO_SAMPLES
     attempts = config.rewire_budget_factor * ug.edge_count
     seed = derive_seed(config.seed, "phi-norm")
     edges = list(ug.edges())
@@ -292,65 +278,68 @@ def _rewirings(ug: UGraph, k: int, config: PipelineConfig) -> _Ensemble:
     return _Ensemble(null_phi, config.null_samples, attempts)
 
 
-def _er_samples(n: int, m: int, samples: int, seed: int) -> _Ensemble:
-    return _Ensemble(
-        lambda i: _sample_stats(erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}"))),
-        samples,
-        n + 2 * m,  # a sample's draw and statistics take 0.7-1.8 us per node and arc end
-    )
-
-
-def _ws_samples(n: int, k_even: int, p: float, samples: int, seed: int) -> _Ensemble:
-    return _Ensemble(
-        lambda i: _sample_stats(watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}"))),
-        samples,
-        n + n * k_even,  # as for ER, with n * k_even / 2 edges
-    )
-
-
-def _baseline_args(n: int, m: int, config: PipelineConfig) -> tuple[tuple, tuple]:
-    """The arguments of er_baseline and ws_baseline, density-matched to n nodes and m edges."""
-    samples = config.null_samples
+def _lattice_degree(n: int, m: int) -> int:
+    """The WS baseline's lattice degree: even, below n, and near the mean of n nodes and m edges."""
     mean_degree = 2.0 * m / n
     k_even = max(2, int(round(mean_degree / 2.0)) * 2)
     if k_even >= n:
         k_even = (n - 1) if (n - 1) % 2 == 0 else n - 2
-    return (
-        (n, m, samples, derive_seed(config.seed, "er-baseline")),
-        (n, k_even, config.ws_p, samples, derive_seed(config.seed, "ws-baseline")),
+    return k_even
+
+
+def _er_samples(n: int, m: int, config: PipelineConfig) -> _Ensemble:
+    seed = derive_seed(config.seed, "er-baseline")
+    return _Ensemble(
+        lambda i: _sample_stats(erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}"))),
+        config.null_samples,
+        n + 2 * m,  # a sample's draw and statistics take 0.7-1.8 us per node and arc end
     )
 
 
-def analysis_nulls(ug: UGraph, club: RichClub, config: PipelineConfig, baselines: bool) -> Iterator:
-    """Every null sample one analysis reads, in the order it reads them, from one ``ordered_map``.
+def _ws_samples(n: int, m: int, config: PipelineConfig) -> _Ensemble:
+    k_even, p = _lattice_degree(n, m), config.ws_p
+    seed = derive_seed(config.seed, "ws-baseline")
+    return _Ensemble(
+        lambda i: _sample_stats(watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}"))),
+        config.null_samples,
+        n + n * k_even,  # as for ER, with n * k_even / 2 edges
+    )
 
-    First the rewirings :func:`club_cohesion` reads, then, with
-    baselines, the ER and the WS samples of
-    :func:`concentrated_world_assessment` (none below 3 nodes, where it
-    raises before reading any). Pass the iterator to each of them in that
-    order, and close it before another ``ordered_map`` starts.
+
+class Nulls(NamedTuple):
+    """The null samples one analysis reads, in sample order (see :func:`analysis_nulls`)."""
+
+    phis: list[float]  # phi(k) of each rewiring, for club_cohesion
+    er: list[tuple[float, float, float]]  # (density, clustering, path length) of each ER sample
+    ws: list[tuple[float, float, float]]  # the same of each WS sample
+
+
+def analysis_nulls(ug: UGraph, club: RichClub, config: PipelineConfig, baselines: bool) -> Nulls:
+    """Every null sample one analysis reads, drawn through one ``ordered_map``.
+
+    The rewirings that :func:`club_cohesion` reads for club, none when it
+    cannot use them; then, with baselines, the density-matched ER and WS
+    samples of :func:`concentrated_world_assessment`, none below 3 nodes,
+    where it raises. The map is read to the end, so its children are
+    reaped before this returns.
     """
-    ensembles = [_rewirings(ug, _least_degree(ug, club), config)]
-    if baselines and ug.node_count >= 3:
-        er_args, ws_args = _baseline_args(ug.node_count, ug.edge_count, config)
-        ensembles += [_er_samples(*er_args), _ws_samples(*ws_args)]
-    return _draw_samples(ensembles)
+    n, m = ug.node_count, ug.edge_count
+    ensembles = [_rewirings(ug, _least_degree(ug, club), config), _NO_SAMPLES, _NO_SAMPLES]
+    if baselines and n >= 3:
+        ensembles[1:] = _er_samples(n, m, config), _ws_samples(n, m, config)
+    tasks = [(e.draw, i) for e in ensembles for i in range(e.samples)]
+    drawn = iter(list(ordered_map(_draw, tasks, sum(e.samples * e.cost_us for e in ensembles))))
+    return Nulls(*([next(drawn) for _ in range(e.samples)] for e in ensembles))
 
 
-def er_baseline(
-    n: int, m: int, samples: int, seed: int, drawn: Iterator | None = None
-) -> NullModelStats:
-    """Statistics of ``samples`` ER graphs, read from drawn (:func:`analysis_nulls`) if given."""
-    stats = _read(drawn, _er_samples(n, m, samples, seed))
-    return _stats_over("er_gnm", {"n": n, "m": m}, stats, seed)
+def er_baseline(n: int, m: int, seed: int, samples: list[tuple]) -> NullModelStats:
+    """Statistics of ER samples of n nodes and m edges drawn from seed's stream (``Nulls.er``)."""
+    return _stats_over("er_gnm", {"n": n, "m": m}, samples, seed)
 
 
-def ws_baseline(
-    n: int, k_even: int, p: float, samples: int, seed: int, drawn: Iterator | None = None
-) -> NullModelStats:
-    """Statistics of ``samples`` WS graphs, read from drawn (:func:`analysis_nulls`) if given."""
-    stats = _read(drawn, _ws_samples(n, k_even, p, samples, seed))
-    return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, stats, seed)
+def ws_baseline(n: int, k_even: int, p: float, seed: int, samples: list[tuple]) -> NullModelStats:
+    """Statistics of WS samples of n nodes drawn from seed's stream (``Nulls.ws``)."""
+    return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, samples, seed)
 
 
 # -- assessment ----------------------------------------------------------------------
@@ -370,9 +359,7 @@ class Assessment(NamedTuple):
     verdict: str
 
 
-def club_cohesion(
-    g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig, drawn: Iterator | None = None
-):
+def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig, nulls: Nulls):
     """Check the two-part cohesion rule for a candidate rich club.
 
     Cohesion holds when the club's internal arc density strictly exceeds
@@ -383,18 +370,12 @@ def club_cohesion(
     the "phi-norm" stream of ``config.seed``. Returns
     (validated, k, NormalizedPhi-or-None): None, and not validated, when
     the graph has fewer than two edges to rewire, phi(k) is undefined or
-    its null mean is zero; in the first two cases no rewiring is drawn.
-    Each rewiring task keeps only its graph's phi(k). The rewirings are
-    read from drawn (see :func:`analysis_nulls`) when it is given.
+    its null mean is zero. The rewirings' phi(k) are ``nulls.phis``, as
+    :func:`analysis_nulls` draws them for club and config: none in the
+    first two cases.
     """
     k = _least_degree(ug, club)
-    # normalized_rich_club reads all the rewirings or, when phi(k) is
-    # undefined, none, as _rewirings draws them
-    if drawn is None:
-        null_phis = _draw_samples([_rewirings(ug, k, config)])
-    else:
-        null_phis = islice(drawn, config.null_samples)
-    norm = normalized_rich_club(ug, k, null_phis) if ug.edge_count >= 2 else None
+    norm = normalized_rich_club(ug, k, nulls.phis) if ug.edge_count >= 2 else None
     if norm is None:
         return False, k, None
     validated = club.internal_density > density(g) and norm.phi_norm > 1.0
@@ -406,16 +387,16 @@ def concentrated_world_assessment(
     ug: UGraph,
     rich_club_present: bool,
     config: PipelineConfig,
-    drawn: Iterator | None = None,
+    nulls: Nulls,
 ) -> Assessment:
     """Classify the network against density-matched ER and WS baselines.
 
     ug is the undirected projection of g, and rich_club_present is the
     verdict of :func:`club_cohesion` on the candidate rich club; both are
     taken as inputs so one analysis computes each of them once. Each
-    baseline draws ``config.null_samples`` graphs (Watts-Strogatz with
+    baseline has ``config.null_samples`` graphs (Watts-Strogatz with
     rewiring probability ``config.ws_p``) from a stream of ``config.seed``,
-    read from drawn (see :func:`analysis_nulls`) when it is given.
+    given as ``nulls.er`` and ``nulls.ws`` (see :func:`analysis_nulls`).
     The verdict rule, whose thresholds are config fields, evaluated in order:
       concentrated_world - mean total degree >= degree_fraction * (n-1)
         and the rich club's cohesion validates;
@@ -435,9 +416,10 @@ def concentrated_world_assessment(
     observed_path = average_path_length(ug)
     mean_total_degree = 2.0 * g.arc_count / n
 
-    er_args, ws_args = _baseline_args(n, m, config)
-    er = er_baseline(*er_args, drawn)
-    ws = ws_baseline(*ws_args, drawn)
+    er = er_baseline(n, m, derive_seed(config.seed, "er-baseline"), nulls.er)
+    ws = ws_baseline(
+        n, _lattice_degree(n, m), config.ws_p, derive_seed(config.seed, "ws-baseline"), nulls.ws
+    )
     baselines = (er, ws)
 
     undirected_density = 2.0 * m / (n * (n - 1))

@@ -10,8 +10,7 @@ other sections were computed.
 
 from __future__ import annotations
 
-from contextlib import closing
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import __version__
 from .communities import reduced_network_partition
@@ -29,7 +28,7 @@ from .metrics import (
     top_cited,
     top_citing,
 )
-from .nullmodels import analysis_nulls, club_cohesion, concentrated_world_assessment
+from .nullmodels import Nulls, analysis_nulls, club_cohesion, concentrated_world_assessment
 from .report import SCHEMA_VERSION, SECTION_TYPES
 
 
@@ -131,9 +130,9 @@ def build_baseline_sections(
     ug: UGraph,
     rich_club_present: bool,
     config: PipelineConfig,
-    drawn: Iterator,
+    nulls: Nulls,
 ) -> tuple[list, dict]:
-    assessment = concentrated_world_assessment(g, ug, rich_club_present, config, drawn)
+    assessment = concentrated_world_assessment(g, ug, rich_club_present, config, nulls)
     baselines = [stats._asdict() for stats in assessment.baselines]
     assessment_section = {
         "observed": {
@@ -174,27 +173,27 @@ def build_sections(
     computed once, whatever is named, and shared by every section that
     uses them. Communities, baselines with the assessment, and centrality
     are the costly sections; each is built only when named. The null
-    samples that the cohesion test and the baselines read come from one
-    ``ordered_map``, which forks its children once; the sections between
-    the two readers are built while the children draw, and the map is
-    closed, its children reaped, before betweenness starts its own.
+    samples that the cohesion test and the baselines read are drawn first,
+    by :func:`~lexnet.nullmodels.analysis_nulls` in one ``ordered_map``
+    whose children are reaped before it returns, so betweenness's own
+    map never overlaps them.
     """
     ug = g.undirected_projection()
     club = rich_club_members(g, config.k_citing, config.k_cited)
     baselines = "baselines" in names or "assessment" in names
-    with closing(analysis_nulls(ug, club, config, baselines)) as drawn:
-        cohesion = club_cohesion(g, ug, club, config, drawn)
-        sections = {
-            "graph_summary": build_graph_summary(g, ug),
-            "roles": build_roles_section(g),
-            "rankings": build_rankings_section(g, config),
-            "rich_club": build_rich_club_section(g, ug, club, cohesion, config),
-            "provenance": build_provenance(config, inputs, run_id),
-        }
-        if baselines:
-            sections["baselines"], sections["assessment"] = build_baseline_sections(
-                g, ug, cohesion[0], config, drawn
-            )
+    nulls = analysis_nulls(ug, club, config, baselines)
+    cohesion = club_cohesion(g, ug, club, config, nulls)
+    sections = {
+        "graph_summary": build_graph_summary(g, ug),
+        "roles": build_roles_section(g),
+        "rankings": build_rankings_section(g, config),
+        "rich_club": build_rich_club_section(g, ug, club, cohesion, config),
+        "provenance": build_provenance(config, inputs, run_id),
+    }
+    if baselines:
+        sections["baselines"], sections["assessment"] = build_baseline_sections(
+            g, ug, cohesion[0], config, nulls
+        )
     if "centrality" in names:
         sections["centrality"] = build_centrality_section(g, ug)
     # communities project the reduced network; freeing the whole graph's

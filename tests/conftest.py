@@ -633,15 +633,20 @@ def corrupt(payload: dict, keys: tuple, value) -> None:
 def assess(g: DiGraph, club, samples: int, seed: int, **config):
     """Assess g as the pipeline does: cohesion of club (None: no club) feeds the verdict.
 
-    Extra keyword arguments are further PipelineConfig fields.
+    Extra keyword arguments are further PipelineConfig fields. Without a
+    club, the samples are drawn for the (1, 1) rich club, which any graph
+    has, and its rewirings are not read.
     """
     from lexnet.config import PipelineConfig
-    from lexnet.nullmodels import club_cohesion, concentrated_world_assessment
+    from lexnet.metrics import rich_club_members
+    from lexnet.nullmodels import analysis_nulls, club_cohesion, concentrated_world_assessment
 
     config = PipelineConfig(null_samples=samples, seed=seed, **config)
     ug = g.undirected_projection()
-    present = club is not None and club_cohesion(g, ug, club, config)[0]
-    return concentrated_world_assessment(g, ug, present, config)
+    drawn_for = club if club is not None else rich_club_members(g, 1, 1)
+    nulls = analysis_nulls(ug, drawn_for, config, baselines=True)
+    present = club is not None and club_cohesion(g, ug, club, config, nulls)[0]
+    return concentrated_world_assessment(g, ug, present, config, nulls)
 
 
 def rewirings(ug: UGraph, samples: int, seed: int, swap_factor: int = 10) -> Iterator[UGraph]:

@@ -347,6 +347,12 @@ class TestNormalizedRichClub:
         ug = make_ugraph("habcd", [("h", x) for x in "abcd"])
         assert normalized_rich_club(ug, 1, rewired_phis(ug, 1, 5, seed=1)) is None
 
+    def test_negative_k_is_undefined(self):
+        # every node's degree exceeds k, yet phi_table has no entry for k < 0
+        ug = make_ugraph("abcd", [(a, b) for a in "abcd" for b in "abcd" if a < b])
+        assert phi_table(ug).get(-1) is None
+        assert normalized_rich_club(ug, -1, [1.0]) is None
+
     def test_no_nulls_raises(self, bridge_ugraph):
         with pytest.raises(ValueError, match="at least one graph"):
             normalized_rich_club(bridge_ugraph, 2, [])

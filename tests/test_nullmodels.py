@@ -1,5 +1,6 @@
 """Random-graph generators, degree-preserving rewiring, cohesion, assessment rule."""
 
+import functools
 import os
 import random
 import tracemalloc
@@ -21,7 +22,10 @@ from lexnet.metrics import (
     rich_club_members,
 )
 from lexnet.nullmodels import (
+    NullModelStats,
+    analysis_nulls,
     club_cohesion,
+    concentrated_world_assessment,
     degree_preserving_rewire,
     er_baseline,
     erdos_renyi_gnm,
@@ -315,17 +319,44 @@ def rewired_rich_club(ug: UGraph, k: int, samples: int, seed: int) -> _Normalize
 
 
 def cohesion(g: DiGraph, samples: int, seed: int) -> _Normalized:
-    """club_cohesion of g's (8, 8) rich club on one CPU, counting the rewirings it draws."""
+    """club_cohesion of g's (8, 8) rich club on one CPU, counting the rewirings drawn for it."""
     import lexnet.nullmodels
 
     drawn = []
     rewire = lexnet.nullmodels.degree_preserving_rewire
     config = PipelineConfig(k_citing=8, k_cited=8, null_samples=samples, seed=seed)
+    ug = g.undirected_projection()
+    club = rich_club_members(g, 8, 8)
     with mock.patch.object(lexnet.nullmodels, "degree_preserving_rewire",
                            lambda *args: drawn.append(1) or rewire(*args)), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
-        _, _, norm = club_cohesion(g, g.undirected_projection(), rich_club_members(g, 8, 8), config)
+        nulls = analysis_nulls(ug, club, config, baselines=False)
+    _, _, norm = club_cohesion(g, ug, club, config, nulls)
     return _Normalized(len(drawn), norm)
+
+
+def drawn_by_analysis(fold):
+    """fold's statistics in an analysis of an ER graph of n nodes and m edges on one CPU.
+
+    Called as (n, m, samples, seed). analysis_nulls draws the samples and
+    the assessment folds them. Named as fold, which names the test case.
+    """
+
+    @functools.wraps(fold)
+    def statistic(n: int, m: int, samples: int, seed: int) -> NullModelStats:
+        ug = erdos_renyi_gnm(n, m, 1)
+        g = digraph_from_ugraph(ug)
+        config = PipelineConfig(null_samples=samples, seed=seed)
+        # a club of one top-degree node leaves phi(k) undefined, so only the baselines are drawn
+        hub = max(range(n), key=lambda v: len(ug.adj[v]))
+        club = rich_club_members(g, 1, 1)._replace(members=frozenset({hub}))
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            nulls = analysis_nulls(ug, club, config, baselines=True)
+        assert nulls.phis == []
+        baselines = concentrated_world_assessment(g, ug, False, config, nulls).baselines
+        return baselines[(er_baseline, ws_baseline).index(fold)]
+
+    return statistic
 
 
 def analysis(g: DiGraph, samples: int, seed: int) -> _Normalized:
@@ -348,8 +379,8 @@ def analysis(g: DiGraph, samples: int, seed: int) -> _Normalized:
 
 class TestBaselines:
     @pytest.mark.parametrize(("statistic", "args"), [
-        (er_baseline, (200, 800)),
-        (ws_baseline, (200, 8, 0.1)),
+        (drawn_by_analysis(er_baseline), (200, 800)),
+        (drawn_by_analysis(ws_baseline), (200, 800)),
         (rewired_rich_club, (erdos_renyi_gnm(200, 800, 1), 8)),
         (cohesion, (digraph_from_ugraph(erdos_renyi_gnm(200, 800, 1)),)),
         (analysis, (digraph_from_ugraph(erdos_renyi_gnm(200, 800, 1)),)),
@@ -422,7 +453,7 @@ def test_cohesion_fallback_reports_not_validated(reason):
     g = make_digraph(slugs, arcs)
     config = PipelineConfig(k_citing=k_citing, k_cited=k_cited, null_samples=1)
     ug = g.undirected_projection()
-    # the graph falls back for its reason alone; the nulls are the ones club_cohesion draws
+    # the graph falls back for its reason alone; the nulls are the ones drawn for club_cohesion
     seed = derive_seed(config.seed, "phi-norm")
     null_phis = rewired_phis(ug, k, 1, seed, config.rewire_budget_factor)
     phi = phi_table(ug).get(k)
@@ -434,7 +465,8 @@ def test_cohesion_fallback_reports_not_validated(reason):
     }
     assert [name for name, held in holds.items() if held] == [reason]
     club = rich_club_members(g, k_citing, k_cited)
-    assert club_cohesion(g, ug, club, config) == (False, k, None)
+    nulls = analysis_nulls(ug, club, config, baselines=False)
+    assert club_cohesion(g, ug, club, config, nulls) == (False, k, None)
     section = build_sections(g, config, ["rich_club"])["rich_club"]
     assert section["phi_normalized"] is None
     assert section["cohesion_validated"] is False
@@ -454,8 +486,10 @@ def test_cohesion_draws_no_rewiring_it_cannot_use(reason, rewirings_drawn, monke
     g = make_digraph(slugs, arcs)
     config = PipelineConfig(k_citing=k_citing, k_cited=k_cited, null_samples=1)
     club = rich_club_members(g, k_citing, k_cited)
-    assert club_cohesion(g, g.undirected_projection(), club, config) == (False, k, None)
-    assert len(calls) == rewirings_drawn
+    ug = g.undirected_projection()
+    nulls = analysis_nulls(ug, club, config, baselines=False)
+    assert len(calls) == len(nulls.phis) == rewirings_drawn
+    assert club_cohesion(g, ug, club, config, nulls) == (False, k, None)
     calls.clear()
     assert build_sections(g, config, ["rich_club"])["rich_club"]["phi_normalized"] is None
     assert len(calls) == rewirings_drawn

@@ -18,7 +18,7 @@ from lexnet.metrics import betweenness_scores
 from lexnet.nullmodels import erdos_renyi_gnm
 from lexnet.parallel import _FORK_US, _receive, ordered_map
 
-from conftest import reference_betweenness, ugraph
+from conftest import make_digraph, reference_betweenness, ugraph
 
 CPU_COUNTS = (1, 2, 3)
 WORTH_A_CHUNK = 100 * _FORK_US  # work worth 10 workers: a call of 2 or more tasks forks
@@ -309,7 +309,39 @@ def _has_child() -> bool:
     return True
 
 
-@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises-between-slices"])
+# (slugs, arcs) of graphs whose (2, 2) rich club the cohesion test cannot use
+_SMALL_GRAPHS = {
+    "phi-undefined": ("habc", [("h", "a"), ("h", "b"), ("h", "c")]),
+    "one-edge": ("abc", [("b", "c")]),
+    "two-nodes": ("ab", [("a", "b")]),
+}
+
+
+@pytest.mark.parametrize("baselines", [True, False], ids=["baselines", "cohesion-only"])
+@pytest.mark.parametrize("graph", ["fixture", *_SMALL_GRAPHS])
+def test_analysis_nulls_returns_every_sample_with_its_children_reaped(
+    graph, baselines, fixture_graph, monkeypatch
+):
+    from lexnet.metrics import phi_table, rich_club_members
+    from lexnet.nullmodels import analysis_nulls
+
+    g = fixture_graph if graph == "fixture" else make_digraph(*_SMALL_GRAPHS[graph])
+    config = PipelineConfig(null_samples=6)
+    ug = g.undirected_projection()
+    club = rich_club_members(g, 2, 2)
+    use_cpus(monkeypatch, 3, any_work=True)
+    forked = count_forks(monkeypatch)
+    phis, er, ws = analysis_nulls(ug, club, config, baselines)
+    assert not _has_child()
+    k = min(len(ug.adj[v]) for v in club.members)
+    cohesion_reads = ug.edge_count >= 2 and phi_table(ug).get(k) is not None
+    assert cohesion_reads == (g is fixture_graph)
+    assert len(phis) == (config.null_samples if cohesion_reads else 0)
+    assert len(er) == len(ws) == (config.null_samples if baselines and g.node_count >= 3 else 0)
+    assert bool(forked) == (len(phis) + len(er) + len(ws) >= 2)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises-after-the-draw"])
 def test_build_sections_leaves_no_child_of_its_null_samples(fails, fixture_graph, monkeypatch):
     import lexnet.pipeline
     from lexnet.pipeline import REPORT_SECTIONS, build_sections
@@ -319,12 +351,12 @@ def test_build_sections_leaves_no_child_of_its_null_samples(fails, fixture_graph
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: had_child.append(_has_child()) or fork())
     if fails:
-        # built after the cohesion test reads its rewirings, before the baselines read theirs
+        # built after every null sample is drawn, before the baselines fold theirs
         def fail(*args):
-            raise LexnetError("between two slices")
+            raise LexnetError("after the draw")
 
         monkeypatch.setattr(lexnet.pipeline, "build_provenance", fail)
-        with pytest.raises(LexnetError, match="^between two slices$"):
+        with pytest.raises(LexnetError, match="^after the draw$"):
             build_sections(fixture_graph, PipelineConfig(null_samples=6), REPORT_SECTIONS)
         assert had_child == [False, True]  # the null samples' two children
     else:
