@@ -2,16 +2,16 @@
 
 Seeded generators produce identical graphs for identical inputs; multi
 sample statistics derive one child seed per sample, so a sample does not
-depend on the order or the process that draws it. A null ensemble is
-the task that draws sample i and its sample count (``_Ensemble``).
-:func:`analysis_nulls` is the one place that draws null samples: every
-sample one analysis reads (the cohesion test's rewirings, then the ER
-and the WS samples), through one ``ordered_map`` whose children are
-forked once, on the usable CPUs when the samples are worth the forks,
-and reaped before it returns. It returns them as values (:class:`Nulls`),
-which :func:`club_cohesion` and :func:`concentrated_world_assessment`
-take as an argument; :func:`er_baseline` and :func:`ws_baseline` fold a
-baseline's samples into its statistics.
+depend on the order or the process that draws it. :func:`analysis_nulls`
+is the one place that sets the null models' parameters and draws their
+samples: every sample one analysis reads (the cohesion test's rewirings,
+then the ER and the WS samples), through one ``ordered_map`` whose
+children are forked once, on the usable CPUs when the samples are worth
+the forks, and reaped before it returns. It returns finished statistics
+(:class:`Nulls`): the cohesion test's k, the rewirings' phi(k), and the
+ER and WS baselines as :func:`er_baseline` and :func:`ws_baseline` fold
+them. :func:`club_cohesion` and :func:`concentrated_world_assessment`
+take it as an argument.
 """
 
 from __future__ import annotations
@@ -237,15 +237,27 @@ def _stats_over(model: str, params: dict, samples: list[tuple], seed: int) -> Nu
 # -- null ensembles --------------------------------------------------------------------
 
 
-class _Ensemble(NamedTuple):
-    """A null ensemble: sample i is ``draw(i)``, estimated at cost_us microseconds."""
-
-    draw: Callable[[int], object] | None  # None only when there are no samples
-    samples: int
-    cost_us: float
+def _lattice_degree(n: int, m: int) -> int:
+    """The WS baseline's lattice degree: the even number nearest the mean degree 2m/n, in 2..n-1."""
+    return min(max(2, round(m / n) * 2), (n - 1) // 2 * 2)
 
 
-_NO_SAMPLES = _Ensemble(None, 0, 0.0)
+def er_baseline(n: int, m: int, seed: int, samples: list[tuple]) -> NullModelStats:
+    """Statistics of ER samples of n nodes and m edges drawn from seed's stream."""
+    return _stats_over("er_gnm", {"n": n, "m": m}, samples, seed)
+
+
+def ws_baseline(n: int, k_even: int, p: float, seed: int, samples: list[tuple]) -> NullModelStats:
+    """Statistics of WS samples of n nodes drawn from seed's stream."""
+    return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, samples, seed)
+
+
+class Nulls(NamedTuple):
+    """What the null models give one analysis (see :func:`analysis_nulls`)."""
+
+    k: int  # the cohesion test's k: the least degree of a club member on the projection
+    phis: list[float]  # phi(k) of each rewiring, in sample order; empty when none is drawn
+    baselines: tuple[NullModelStats, ...]  # (ER, WS), or empty when they are not drawn
 
 
 def _draw(task: tuple[Callable[[int], object], int]) -> object:
@@ -253,93 +265,55 @@ def _draw(task: tuple[Callable[[int], object], int]) -> object:
     return draw(i)
 
 
-def _least_degree(ug: UGraph, club: RichClub) -> int:
-    """k of the cohesion test: the least degree of a club member on the projection."""
-    return min(len(ug.adj[v]) for v in club.members)
-
-
-def _rewirings(ug: UGraph, k: int, config: PipelineConfig) -> _Ensemble:
-    """The cohesion test's nulls: phi(k) of ``config.null_samples`` rewirings of ug.
-
-    There are none when ug has fewer than two edges to rewire or phi(k) is
-    undefined, since the test then reads none.
-    """
-    if ug.edge_count < 2 or phi_at(ug, k) is None:
-        return _NO_SAMPLES
-    attempts = config.rewire_budget_factor * ug.edge_count
-    seed = derive_seed(config.seed, "phi-norm")
-    edges = list(ug.edges())
-
-    def null_phi(i: int) -> float:
-        null = degree_preserving_rewire(ug, attempts, derive_seed(seed, f"rewire:{i}"), edges)
-        return phi_at(null, k)  # a rewiring keeps every degree, so phi(k) stays defined
-
-    # a rewiring takes 0.8-1 us per swap attempt
-    return _Ensemble(null_phi, config.null_samples, attempts)
-
-
-def _lattice_degree(n: int, m: int) -> int:
-    """The WS baseline's lattice degree: even, below n, and near the mean of n nodes and m edges."""
-    mean_degree = 2.0 * m / n
-    k_even = max(2, int(round(mean_degree / 2.0)) * 2)
-    if k_even >= n:
-        k_even = (n - 1) if (n - 1) % 2 == 0 else n - 2
-    return k_even
-
-
-def _er_samples(n: int, m: int, config: PipelineConfig) -> _Ensemble:
-    seed = derive_seed(config.seed, "er-baseline")
-    return _Ensemble(
-        lambda i: _sample_stats(erdos_renyi_gnm(n, m, derive_seed(seed, f"er:{i}"))),
-        config.null_samples,
-        n + 2 * m,  # a sample's draw and statistics take 0.7-1.8 us per node and arc end
-    )
-
-
-def _ws_samples(n: int, m: int, config: PipelineConfig) -> _Ensemble:
-    k_even, p = _lattice_degree(n, m), config.ws_p
-    seed = derive_seed(config.seed, "ws-baseline")
-    return _Ensemble(
-        lambda i: _sample_stats(watts_strogatz(n, k_even, p, derive_seed(seed, f"ws:{i}"))),
-        config.null_samples,
-        n + n * k_even,  # as for ER, with n * k_even / 2 edges
-    )
-
-
-class Nulls(NamedTuple):
-    """The null samples one analysis reads, in sample order (see :func:`analysis_nulls`)."""
-
-    phis: list[float]  # phi(k) of each rewiring, for club_cohesion
-    er: list[tuple[float, float, float]]  # (density, clustering, path length) of each ER sample
-    ws: list[tuple[float, float, float]]  # the same of each WS sample
-
-
 def analysis_nulls(ug: UGraph, club: RichClub, config: PipelineConfig, baselines: bool) -> Nulls:
     """Every null sample one analysis reads, drawn through one ``ordered_map``.
 
-    The rewirings that :func:`club_cohesion` reads for club, none when it
-    cannot use them; then, with baselines, the density-matched ER and WS
-    samples of :func:`concentrated_world_assessment`, none below 3 nodes,
-    where it raises. The map is read to the end, so its children are
-    reaped before this returns.
+    This is the one place that sets the null models' parameters. Each
+    family has ``config.null_samples`` samples, each from its own stream
+    of ``config.seed``. First the cohesion test's rewirings of ug, of
+    ``config.rewire_budget_factor`` swap attempts per edge, with phi(k) of
+    each at k, the least degree of a club member: none when ug has fewer
+    than two edges to rewire or phi(k) is undefined, since
+    :func:`club_cohesion` then reads none. Then, with baselines, the
+    density-matched ER and WS samples (rewiring probability
+    ``config.ws_p``), folded by :func:`er_baseline` and :func:`ws_baseline`:
+    none below 3 nodes, where :func:`concentrated_world_assessment`
+    raises. The map is read to the end, so its children are reaped before
+    this returns.
     """
-    n, m = ug.node_count, ug.edge_count
-    ensembles = [_rewirings(ug, _least_degree(ug, club), config), _NO_SAMPLES, _NO_SAMPLES]
-    if baselines and n >= 3:
-        ensembles[1:] = _er_samples(n, m, config), _ws_samples(n, m, config)
-    tasks = [(e.draw, i) for e in ensembles for i in range(e.samples)]
-    drawn = iter(list(ordered_map(_draw, tasks, sum(e.samples * e.cost_us for e in ensembles))))
-    return Nulls(*([next(drawn) for _ in range(e.samples)] for e in ensembles))
+    n, m, samples = ug.node_count, ug.edge_count, config.null_samples
+    k = min(len(ug.adj[v]) for v in club.members)
+    rewired = m >= 2 and phi_at(ug, k) is not None
+    folded = baselines and n >= 3
+    ensembles = []  # (draw of sample i, estimated microseconds per sample)
+    if rewired:
+        attempts = config.rewire_budget_factor * m
+        phi_seed = derive_seed(config.seed, "phi-norm")
+        edges = list(ug.edges())
 
+        def null_phi(i: int) -> float:
+            null = degree_preserving_rewire(ug, attempts, derive_seed(phi_seed, f"rewire:{i}"), edges)
+            return phi_at(null, k)  # a rewiring keeps every degree, so phi(k) stays defined
 
-def er_baseline(n: int, m: int, seed: int, samples: list[tuple]) -> NullModelStats:
-    """Statistics of ER samples of n nodes and m edges drawn from seed's stream (``Nulls.er``)."""
-    return _stats_over("er_gnm", {"n": n, "m": m}, samples, seed)
-
-
-def ws_baseline(n: int, k_even: int, p: float, seed: int, samples: list[tuple]) -> NullModelStats:
-    """Statistics of WS samples of n nodes drawn from seed's stream (``Nulls.ws``)."""
-    return _stats_over("watts_strogatz", {"n": n, "k": k_even, "p": p}, samples, seed)
+        ensembles.append((null_phi, attempts))  # 0.8-1 us per swap attempt
+    if folded:
+        k_even, p = _lattice_degree(n, m), config.ws_p
+        er_seed = derive_seed(config.seed, "er-baseline")
+        ws_seed = derive_seed(config.seed, "ws-baseline")
+        # a sample's draw and statistics take 0.7-1.8 us per node and arc end
+        ensembles += [
+            (lambda i: _sample_stats(erdos_renyi_gnm(n, m, derive_seed(er_seed, f"er:{i}"))),
+             n + 2 * m),
+            (lambda i: _sample_stats(watts_strogatz(n, k_even, p, derive_seed(ws_seed, f"ws:{i}"))),
+             n + n * k_even),
+        ]
+    tasks = [(draw, i) for draw, _ in ensembles for i in range(samples)]
+    drawn = list(ordered_map(_draw, tasks, samples * sum(cost for _, cost in ensembles)))
+    phis = drawn[:samples] if rewired else []
+    if not folded:
+        return Nulls(k, phis, ())
+    er, ws = drawn[len(phis):len(phis) + samples], drawn[len(phis) + samples:]
+    return Nulls(k, phis, (er_baseline(n, m, er_seed, er), ws_baseline(n, k_even, p, ws_seed, ws)))
 
 
 # -- assessment ----------------------------------------------------------------------
@@ -359,23 +333,20 @@ class Assessment(NamedTuple):
     verdict: str
 
 
-def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, config: PipelineConfig, nulls: Nulls):
+def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, nulls: Nulls):
     """Check the two-part cohesion rule for a candidate rich club.
 
     Cohesion holds when the club's internal arc density strictly exceeds
     the overall graph density and the normalized rich-club coefficient at
-    k = the minimum member degree (on the projection) exceeds 1. The
-    coefficient is normalized over ``config.null_samples`` rewirings of
-    ``config.rewire_budget_factor`` swap attempts per edge, seeded from
-    the "phi-norm" stream of ``config.seed``. Returns
+    k = ``nulls.k``, the minimum member degree on the projection, exceeds
+    1. The coefficient is normalized over the rewirings' phi(k),
+    ``nulls.phis``, as :func:`analysis_nulls` draws them for club. Returns
     (validated, k, NormalizedPhi-or-None): None, and not validated, when
-    the graph has fewer than two edges to rewire, phi(k) is undefined or
-    its null mean is zero. The rewirings' phi(k) are ``nulls.phis``, as
-    :func:`analysis_nulls` draws them for club and config: none in the
-    first two cases.
+    no rewiring was drawn (the graph has fewer than two edges to rewire,
+    or phi(k) is undefined) or the null mean is zero.
     """
-    k = _least_degree(ug, club)
-    norm = normalized_rich_club(ug, k, nulls.phis) if ug.edge_count >= 2 else None
+    k = nulls.k
+    norm = normalized_rich_club(ug, k, nulls.phis) if nulls.phis else None
     if norm is None:
         return False, k, None
     validated = club.internal_density > density(g) and norm.phi_norm > 1.0
@@ -393,10 +364,9 @@ def concentrated_world_assessment(
 
     ug is the undirected projection of g, and rich_club_present is the
     verdict of :func:`club_cohesion` on the candidate rich club; both are
-    taken as inputs so one analysis computes each of them once. Each
-    baseline has ``config.null_samples`` graphs (Watts-Strogatz with
-    rewiring probability ``config.ws_p``) from a stream of ``config.seed``,
-    given as ``nulls.er`` and ``nulls.ws`` (see :func:`analysis_nulls`).
+    taken as inputs so one analysis computes each of them once. The ER
+    and WS baselines are ``nulls.baselines``, as :func:`analysis_nulls`
+    draws and folds them.
     The verdict rule, whose thresholds are config fields, evaluated in order:
       concentrated_world - mean total degree >= degree_fraction * (n-1)
         and the rich club's cohesion validates;
@@ -409,20 +379,10 @@ def concentrated_world_assessment(
     n = g.node_count
     if n < 3:
         raise DegenerateGraphError("assessment needs at least 3 nodes")
-    m = ug.edge_count
-
-    observed_density = density(g)
-    observed_transitivity = global_clustering(ug)
-    observed_path = average_path_length(ug)
+    er, ws = nulls.baselines
+    undirected_density, observed_transitivity, observed_path = _sample_stats(ug)
     mean_total_degree = 2.0 * g.arc_count / n
 
-    er = er_baseline(n, m, derive_seed(config.seed, "er-baseline"), nulls.er)
-    ws = ws_baseline(
-        n, _lattice_degree(n, m), config.ws_p, derive_seed(config.seed, "ws-baseline"), nulls.ws
-    )
-    baselines = (er, ws)
-
-    undirected_density = 2.0 * m / (n * (n - 1))
     density_ratio = undirected_density / er.density_mean if er.density_mean else 0.0
     clustering_ratio = (
         observed_transitivity / er.clustering_mean if er.clustering_mean else 0.0
@@ -443,11 +403,11 @@ def concentrated_world_assessment(
         verdict = "inconclusive"
 
     return Assessment(
-        observed_density=observed_density,
+        observed_density=density(g),
         observed_transitivity=observed_transitivity,
         observed_path_length=observed_path,
         observed_mean_total_degree=mean_total_degree,
-        baselines=baselines,
+        baselines=(er, ws),
         density_ratio_vs_er=density_ratio,
         clustering_ratio_vs_er=clustering_ratio,
         rich_club_present=rich_club_present,

@@ -182,7 +182,7 @@ def build_sections(
     club = rich_club_members(g, config.k_citing, config.k_cited)
     baselines = "baselines" in names or "assessment" in names
     nulls = analysis_nulls(ug, club, config, baselines)
-    cohesion = club_cohesion(g, ug, club, config, nulls)
+    cohesion = club_cohesion(g, ug, club, nulls)
     sections = {
         "graph_summary": build_graph_summary(g, ug),
         "roles": build_roles_section(g),

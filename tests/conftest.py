@@ -645,15 +645,15 @@ def assess(g: DiGraph, club, samples: int, seed: int, **config):
     ug = g.undirected_projection()
     drawn_for = club if club is not None else rich_club_members(g, 1, 1)
     nulls = analysis_nulls(ug, drawn_for, config, baselines=True)
-    present = club is not None and club_cohesion(g, ug, club, config, nulls)[0]
+    present = club is not None and club_cohesion(g, ug, club, nulls)[0]
     return concentrated_world_assessment(g, ug, present, config, nulls)
 
 
 def rewirings(ug: UGraph, samples: int, seed: int, swap_factor: int = 10) -> Iterator[UGraph]:
-    """The null graphs club_cohesion draws, one at a time.
+    """The null graphs analysis_nulls draws for club_cohesion, one at a time.
 
     Sample i makes ``swap_factor * edge_count`` swap attempts under the
-    seed derived from (seed, "rewire:i"); club_cohesion passes the
+    seed derived from (seed, "rewire:i"); analysis_nulls passes the
     "phi-norm" stream of its config seed.
     """
     from lexnet.nullmodels import degree_preserving_rewire

@@ -206,6 +206,22 @@ class TestAnalyze:
         assert report["provenance"]["seed"] == 13
 
 
+@pytest.mark.parametrize("command", ["extract", "analyze"])
+def test_without_out_the_output_goes_to_stdout(command, fixture_dir, extracted, tmp_path,
+                                               capsysbinary):
+    edges, nodes = extracted
+    argv = {
+        "extract": ["extract", "--corpus", str(fixture_dir / "corpus"),
+                    "--registry", str(fixture_dir / "registry.tsv")],
+        "analyze": ["analyze", "--edges", str(edges), "--nodes", str(nodes), "--null-samples", "2"],
+    }[command]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr() == (b"", b"")
+    assert run(argv) == 0
+    assert capsysbinary.readouterr() == (out.read_bytes(), b"")
+
+
 class TestExport:
     def test_dot_and_graphml(self, extracted, tmp_path):
         edges, nodes = extracted
@@ -514,6 +530,33 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"lexnet: {path}: ")
         assert not dot.exists() and not graphml.exists()
+
+    @pytest.mark.parametrize(("argv", "code", "message"), [
+        pytest.param(["analyze", "--edges", "edges.tsv", "--ws-p", "1.5"], 2,
+                     "configuration error: ws_p must be in [0, 1], got 1.5", id="ws-p-above-1"),
+        pytest.param(["analyze", "--edges", "edges.tsv", "--config", "list.json"], 2,
+                     "configuration error: config file must contain a JSON object",
+                     id="config-not-an-object"),
+        pytest.param(["extract", "--corpus", "missing", "--registry", "registry.tsv"], 3,
+                     "corpus directory 'missing' does not exist", id="missing-corpus"),
+        pytest.param(["export", "--edges", "edges.tsv", "--report", "list.json", "--dot", "g.dot"],
+                     3, "$: report must be a JSON object", id="report-not-an-object"),
+        pytest.param(["export", "--edges", "edges.tsv", "--report", "miscounted.json",
+                      "--dot", "g.dot"],
+                     3, "$.graph_summary.n: does not match the roles section", id="node-count-off"),
+    ])
+    def test_documented_exit_and_its_one_line(self, argv, code, message, extracted, fixture_dir,
+                                              report_payload, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("edges.tsv").write_bytes(extracted[0].read_bytes())
+        Path("registry.tsv").write_bytes((fixture_dir / "registry.tsv").read_bytes())
+        Path("list.json").write_text("[1]", encoding="utf-8")
+        miscounted = json.loads(json.dumps(report_payload))
+        miscounted["graph_summary"]["n"] += 1
+        Path("miscounted.json").write_text(json.dumps(miscounted), encoding="utf-8")
+        assert run(argv) == code
+        assert capsys.readouterr().err == f"lexnet: {message}\n"
+        assert not Path("g.dot").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "richclub", "communities", "nulls"])
     def test_k_larger_than_the_graph(self, command, tmp_path, capsys):

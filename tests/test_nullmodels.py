@@ -305,7 +305,7 @@ class _Normalized(NamedTuple):
 
 
 def rewired_rich_club(ug: UGraph, k: int, samples: int, seed: int) -> _Normalized:
-    """normalized_rich_club over the rewirings club_cohesion would draw, counting them."""
+    """normalized_rich_club over the rewirings analysis_nulls would draw, counting them."""
     read = 0
 
     def null_phis():
@@ -331,7 +331,7 @@ def cohesion(g: DiGraph, samples: int, seed: int) -> _Normalized:
                            lambda *args: drawn.append(1) or rewire(*args)), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
         nulls = analysis_nulls(ug, club, config, baselines=False)
-    _, _, norm = club_cohesion(g, ug, club, config, nulls)
+    _, _, norm = club_cohesion(g, ug, club, nulls)
     return _Normalized(len(drawn), norm)
 
 
@@ -390,6 +390,16 @@ class TestBaselines:
         stats, forty = _traced_peak(statistic, *args, 40, 5)
         assert stats.samples == 40
         assert forty < 2 * one
+
+    @pytest.mark.parametrize(("n", "k"), [(4, 2), (5, 4), (8, 6)])
+    def test_ws_lattice_degree_on_a_complete_graph(self, n, k):
+        # K_n's mean degree is n - 1: the nearest even degree, capped at the
+        # largest even number below n (K4: 4 -> 2, K8: 8 -> 6)
+        slugs = "abcdefgh"[:n]
+        g = make_digraph(slugs, [(a, b) for i, a in enumerate(slugs) for b in slugs[i + 1:]])
+        er, ws = assess(g, None, samples=2, seed=0).baselines
+        assert ws.params == {"n": n, "k": k, "p": 0.1}
+        assert er.params == {"n": n, "m": n * (n - 1) // 2}
 
 
 class TestAssessment:
@@ -466,7 +476,7 @@ def test_cohesion_fallback_reports_not_validated(reason):
     assert [name for name, held in holds.items() if held] == [reason]
     club = rich_club_members(g, k_citing, k_cited)
     nulls = analysis_nulls(ug, club, config, baselines=False)
-    assert club_cohesion(g, ug, club, config, nulls) == (False, k, None)
+    assert club_cohesion(g, ug, club, nulls) == (False, k, None)
     section = build_sections(g, config, ["rich_club"])["rich_club"]
     assert section["phi_normalized"] is None
     assert section["cohesion_validated"] is False
@@ -489,7 +499,7 @@ def test_cohesion_draws_no_rewiring_it_cannot_use(reason, rewirings_drawn, monke
     ug = g.undirected_projection()
     nulls = analysis_nulls(ug, club, config, baselines=False)
     assert len(calls) == len(nulls.phis) == rewirings_drawn
-    assert club_cohesion(g, ug, club, config, nulls) == (False, k, None)
+    assert club_cohesion(g, ug, club, nulls) == (False, k, None)
     calls.clear()
     assert build_sections(g, config, ["rich_club"])["rich_club"]["phi_normalized"] is None
     assert len(calls) == rewirings_drawn

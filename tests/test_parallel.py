@@ -1,5 +1,6 @@
 """ordered_map, and results that do not depend on the number of usable CPUs."""
 
+import errno
 import io
 import os
 import pickle
@@ -195,6 +196,22 @@ def test_a_child_that_dies_partway_has_the_rest_of_its_items_run_in_the_parent(c
     assert pids[5:] == [parent] * 7
 
 
+def test_a_worker_that_cannot_be_forked_has_its_items_run_in_the_parent(monkeypatch):
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        pytest.skip("no /proc/self/fd to list this process's open descriptors")
+
+    def no_process_left():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    use_cpus(monkeypatch, 3, any_work=True)
+    monkeypatch.setattr(os, "fork", no_process_left)
+    before = sorted(os.listdir(fds))
+    assert list(ordered_map(_pid_of, range(10), WORTH_A_CHUNK)) == list(map(_pid_of, range(10)))
+    assert not _has_child()
+    assert sorted(os.listdir(fds)) == before  # both ends of each pipe are closed
+
+
 def test_a_stream_that_ends_early_reads_as_none():
     whole = pickle.dumps((True, list(range(1000))), pickle.HIGHEST_PROTOCOL)
     assert _receive(io.BytesIO(whole)) == (True, list(range(1000)))
@@ -331,14 +348,15 @@ def test_analysis_nulls_returns_every_sample_with_its_children_reaped(
     club = rich_club_members(g, 2, 2)
     use_cpus(monkeypatch, 3, any_work=True)
     forked = count_forks(monkeypatch)
-    phis, er, ws = analysis_nulls(ug, club, config, baselines)
+    k, phis, stats = analysis_nulls(ug, club, config, baselines)
     assert not _has_child()
-    k = min(len(ug.adj[v]) for v in club.members)
+    assert k == min(len(ug.adj[v]) for v in club.members)
     cohesion_reads = ug.edge_count >= 2 and phi_table(ug).get(k) is not None
     assert cohesion_reads == (g is fixture_graph)
     assert len(phis) == (config.null_samples if cohesion_reads else 0)
-    assert len(er) == len(ws) == (config.null_samples if baselines and g.node_count >= 3 else 0)
-    assert bool(forked) == (len(phis) + len(er) + len(ws) >= 2)
+    folded = baselines and g.node_count >= 3
+    assert [s.samples for s in stats] == ([config.null_samples] * 2 if folded else [])
+    assert bool(forked) == (len(phis) + sum(s.samples for s in stats) >= 2)
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises-after-the-draw"])
@@ -351,7 +369,7 @@ def test_build_sections_leaves_no_child_of_its_null_samples(fails, fixture_graph
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: had_child.append(_has_child()) or fork())
     if fails:
-        # built after every null sample is drawn, before the baselines fold theirs
+        # built after every null sample is drawn and folded, before the assessment
         def fail(*args):
             raise LexnetError("after the draw")
 
