@@ -31,7 +31,7 @@ _SOURCES = {
         "metrics",
     ),
     **dict.fromkeys(
-        ("Assessment", "NullModelStats", "Nulls", "analysis_nulls", "club_cohesion",
+        ("Assessment", "NullModelStats", "Nulls", "Observed", "analysis_nulls", "club_cohesion",
          "concentrated_world_assessment", "degree_preserving_rewire", "erdos_renyi_gnm",
          "watts_strogatz"),
         "nullmodels",

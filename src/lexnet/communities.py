@@ -213,6 +213,10 @@ def assignment_after(n: int, merges: Sequence[CnmMerge], steps: int) -> tuple[in
     """Replay the first ``steps`` merges and return the dense assignment.
 
     Communities are indexed 0..c-1 in order of their smallest member.
+    A merge names its two communities by their labels, a < b, and a
+    community's label is its smallest member. Joining b's root under a's
+    keeps every root its set's smallest member, so a and b are always two
+    distinct roots and the union needs neither a check nor a swap.
     """
     parent = list(range(n))
 
@@ -223,11 +227,7 @@ def assignment_after(n: int, merges: Sequence[CnmMerge], steps: int) -> tuple[in
         return x
 
     for k in range(steps):
-        ra, rb = find(merges[k].a), find(merges[k].b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
+        parent[find(merges[k].b)] = find(merges[k].a)
     roots = [find(v) for v in range(n)]
     index_of: dict[int, int] = {}
     for v in range(n):  # roots carry the smallest member id, so id order works

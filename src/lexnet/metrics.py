@@ -74,7 +74,7 @@ def density(g: DiGraph) -> float:
 
 
 class Ranking(NamedTuple):
-    nodes: list[NodeId]
+    nodes: tuple[NodeId, ...]
     truncated_tie: bool
 
 
@@ -84,7 +84,7 @@ def _top_by_degree(g: DiGraph, k: int, degree_of) -> Ranking:
         raise LexnetError(f"k must be in 1..{n}, got {k!r}")
     order = sorted(g.node_ids(), key=lambda v: (-degree_of(v), g.slug(v)))
     tie = k < n and degree_of(order[k - 1]) == degree_of(order[k])
-    return Ranking(order[:k], tie)
+    return Ranking(tuple(order[:k]), tie)
 
 
 def top_citing(g: DiGraph, k: int) -> Ranking:
@@ -104,14 +104,15 @@ def top_cited(g: DiGraph, k: int) -> Ranking:
 class RichClub(NamedTuple):
     """The union of the most-citing and most-cited nodes plus cohesion stats.
 
+    top_citing and top_cited are the two rankings the club is drawn from.
     quotation_capture is the fraction of arcs with at least one endpoint in
     the club; the weighted variant counts citation multiplicities instead
     of arcs.
     """
 
     members: frozenset[NodeId]
-    top_citing: tuple[NodeId, ...]
-    top_cited: tuple[NodeId, ...]
+    top_citing: Ranking
+    top_cited: Ranking
     internal_arcs: int
     internal_density: float
     quotation_capture: float
@@ -119,14 +120,14 @@ class RichClub(NamedTuple):
 
     @property
     def overlap(self) -> frozenset[NodeId]:
-        return frozenset(self.top_citing) & frozenset(self.top_cited)
+        return frozenset(self.top_citing.nodes) & frozenset(self.top_cited.nodes)
 
 
 def rich_club_members(g: DiGraph, k_citing: int, k_cited: int) -> RichClub:
     """Select the rich club as top_citing(k_citing) union top_cited(k_cited)."""
-    citing = top_citing(g, k_citing).nodes
-    cited = top_cited(g, k_cited).nodes
-    members = frozenset(citing) | frozenset(cited)
+    citing = top_citing(g, k_citing)
+    cited = top_cited(g, k_cited)
+    members = frozenset(citing.nodes) | frozenset(cited.nodes)
     size = len(members)
     internal = 0
     incident = 0
@@ -144,8 +145,8 @@ def rich_club_members(g: DiGraph, k_citing: int, k_cited: int) -> RichClub:
     total_weight = g.weight_total
     return RichClub(
         members=members,
-        top_citing=tuple(citing),
-        top_cited=tuple(cited),
+        top_citing=citing,
+        top_cited=cited,
         internal_arcs=internal,
         internal_density=internal_density,
         quotation_capture=incident / total_arcs if total_arcs else 0.0,

@@ -319,14 +319,19 @@ def analysis_nulls(ug: UGraph, club: RichClub, config: PipelineConfig, baselines
 # -- assessment ----------------------------------------------------------------------
 
 
-class Assessment(NamedTuple):
-    """Observed statistics against ER and WS baselines, plus the verdict."""
+class Observed(NamedTuple):
+    """The observed network's statistics that the assessment compares."""
 
-    observed_density: float
-    observed_transitivity: float
-    observed_path_length: float
-    observed_mean_total_degree: float
-    baselines: tuple[NullModelStats, ...]
+    density: float  # arc density of the digraph
+    transitivity: float  # of the undirected projection
+    path_length: float  # mean over the projection's largest component
+    mean_total_degree: float
+
+
+class Assessment(NamedTuple):
+    """Observed statistics against the ER baseline, plus the verdict."""
+
+    observed: Observed
     density_ratio_vs_er: float
     clustering_ratio_vs_er: float
     rich_club_present: bool
@@ -341,16 +346,14 @@ def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, nulls: Nulls):
     k = ``nulls.k``, the minimum member degree on the projection, exceeds
     1. The coefficient is normalized over the rewirings' phi(k),
     ``nulls.phis``, as :func:`analysis_nulls` draws them for club. Returns
-    (validated, k, NormalizedPhi-or-None): None, and not validated, when
-    no rewiring was drawn (the graph has fewer than two edges to rewire,
-    or phi(k) is undefined) or the null mean is zero.
+    (validated, NormalizedPhi-or-None): None, and not validated, when no
+    rewiring was drawn (the graph has fewer than two edges to rewire, or
+    phi(k) is undefined) or the null mean is zero.
     """
-    k = nulls.k
-    norm = normalized_rich_club(ug, k, nulls.phis) if nulls.phis else None
+    norm = normalized_rich_club(ug, nulls.k, nulls.phis) if nulls.phis else None
     if norm is None:
-        return False, k, None
-    validated = club.internal_density > density(g) and norm.phi_norm > 1.0
-    return validated, k, norm
+        return False, None
+    return club.internal_density > density(g) and norm.phi_norm > 1.0, norm
 
 
 def concentrated_world_assessment(
@@ -360,13 +363,14 @@ def concentrated_world_assessment(
     config: PipelineConfig,
     nulls: Nulls,
 ) -> Assessment:
-    """Classify the network against density-matched ER and WS baselines.
+    """Classify the network against a density-matched ER baseline.
 
     ug is the undirected projection of g, and rich_club_present is the
     verdict of :func:`club_cohesion` on the candidate rich club; both are
-    taken as inputs so one analysis computes each of them once. The ER
-    and WS baselines are ``nulls.baselines``, as :func:`analysis_nulls`
-    draws and folds them.
+    taken as inputs so one analysis computes each of them once. The
+    verdict reads the ER baseline, ``nulls.baselines[0]``, as
+    :func:`analysis_nulls` draws and folds it; the WS baseline beside it
+    is reported, not read.
     The verdict rule, whose thresholds are config fields, evaluated in order:
       concentrated_world - mean total degree >= degree_fraction * (n-1)
         and the rich club's cohesion validates;
@@ -379,35 +383,29 @@ def concentrated_world_assessment(
     n = g.node_count
     if n < 3:
         raise DegenerateGraphError("assessment needs at least 3 nodes")
-    er, ws = nulls.baselines
-    undirected_density, observed_transitivity, observed_path = _sample_stats(ug)
+    er = nulls.baselines[0]
+    undirected_density, transitivity, path_length = _sample_stats(ug)
     mean_total_degree = 2.0 * g.arc_count / n
 
     density_ratio = undirected_density / er.density_mean if er.density_mean else 0.0
-    clustering_ratio = (
-        observed_transitivity / er.clustering_mean if er.clustering_mean else 0.0
-    )
+    clustering_ratio = transitivity / er.clustering_mean if er.clustering_mean else 0.0
 
     dense_enough = mean_total_degree >= config.degree_fraction * (n - 1)
     if dense_enough and rich_club_present:
         verdict = "concentrated_world"
     elif (
         er.clustering_mean > 0.0
-        and observed_transitivity >= config.transitivity_factor * er.clustering_mean
-        and observed_path <= config.path_length_factor * er.path_length_mean
+        and transitivity >= config.transitivity_factor * er.clustering_mean
+        and path_length <= config.path_length_factor * er.path_length_mean
     ):
         verdict = "small_world_like"
-    elif abs(observed_transitivity - er.clustering_mean) <= config.sparse_sigma * er.clustering_stddev:
+    elif abs(transitivity - er.clustering_mean) <= config.sparse_sigma * er.clustering_stddev:
         verdict = "sparse_random_like"
     else:
         verdict = "inconclusive"
 
     return Assessment(
-        observed_density=density(g),
-        observed_transitivity=observed_transitivity,
-        observed_path_length=observed_path,
-        observed_mean_total_degree=mean_total_degree,
-        baselines=(er, ws),
+        observed=Observed(density(g), transitivity, path_length, mean_total_degree),
         density_ratio_vs_er=density_ratio,
         clustering_ratio_vs_er=clustering_ratio,
         rich_club_present=rich_club_present,

@@ -25,8 +25,6 @@ from .metrics import (
     harmonic_closeness_scores,
     phi_table,
     rich_club_members,
-    top_cited,
-    top_citing,
 )
 from .nullmodels import Nulls, analysis_nulls, club_cohesion, concentrated_world_assessment
 from .report import SCHEMA_VERSION, SECTION_TYPES
@@ -58,9 +56,8 @@ def build_roles_section(g: DiGraph) -> dict:
     }
 
 
-def build_rankings_section(g: DiGraph, config: PipelineConfig) -> dict:
-    citing = top_citing(g, config.k_citing)
-    cited = top_cited(g, config.k_cited)
+def build_rankings_section(g: DiGraph, club: RichClub, config: PipelineConfig) -> dict:
+    citing, cited = club.top_citing, club.top_cited
     return {
         "top_citing": {
             "k": config.k_citing,
@@ -78,17 +75,17 @@ def build_rankings_section(g: DiGraph, config: PipelineConfig) -> dict:
 
 
 def build_rich_club_section(
-    g: DiGraph, ug: UGraph, club: RichClub, cohesion: tuple, config: PipelineConfig
+    g: DiGraph, ug: UGraph, club: RichClub, nulls: Nulls, cohesion: tuple
 ) -> dict:
     table = {str(k): phi for k, phi in phi_table(ug).items()}
-    validated, k_min, norm = cohesion
+    validated, norm = cohesion
     normalized = None
     if norm is not None:
-        normalized = {"k": k_min, "samples": config.null_samples, **norm._asdict()}
+        normalized = {"k": nulls.k, "samples": len(nulls.phis), **norm._asdict()}
     return {
         "members": sorted(g.slug(v) for v in club.members),
-        "top_citing": [g.slug(v) for v in club.top_citing],
-        "top_cited": [g.slug(v) for v in club.top_cited],
+        "top_citing": [g.slug(v) for v in club.top_citing.nodes],
+        "top_cited": [g.slug(v) for v in club.top_cited.nodes],
         "overlap": sorted(g.slug(v) for v in club.overlap),
         "internal_arcs": club.internal_arcs,
         "internal_density": club.internal_density,
@@ -133,20 +130,8 @@ def build_baseline_sections(
     nulls: Nulls,
 ) -> tuple[list, dict]:
     assessment = concentrated_world_assessment(g, ug, rich_club_present, config, nulls)
-    baselines = [stats._asdict() for stats in assessment.baselines]
-    assessment_section = {
-        "observed": {
-            "density": assessment.observed_density,
-            "transitivity": assessment.observed_transitivity,
-            "path_length": assessment.observed_path_length,
-            "mean_total_degree": assessment.observed_mean_total_degree,
-        },
-        "density_ratio_vs_er": assessment.density_ratio_vs_er,
-        "clustering_ratio_vs_er": assessment.clustering_ratio_vs_er,
-        "rich_club_present": assessment.rich_club_present,
-        "verdict": assessment.verdict,
-    }
-    return baselines, assessment_section
+    baselines = [stats._asdict() for stats in nulls.baselines]
+    return baselines, {**assessment._asdict(), "observed": assessment.observed._asdict()}
 
 
 def build_provenance(config: PipelineConfig, inputs: Sequence[str], run_id: str) -> dict:
@@ -186,8 +171,8 @@ def build_sections(
     sections = {
         "graph_summary": build_graph_summary(g, ug),
         "roles": build_roles_section(g),
-        "rankings": build_rankings_section(g, config),
-        "rich_club": build_rich_club_section(g, ug, club, cohesion, config),
+        "rankings": build_rankings_section(g, club, config),
+        "rich_club": build_rich_club_section(g, ug, club, nulls, cohesion),
         "provenance": build_provenance(config, inputs, run_id),
     }
     if baselines:

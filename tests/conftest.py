@@ -605,10 +605,13 @@ REPORT_DEFECTS = [
                  id="member-is-a-list"),
     pytest.param(("rich_club", "top_citing"), DELETE, "$.rich_club.top_citing", id="no-top-citing"),
     pytest.param(("rich_club", "top_cited"), 7, "$.rich_club.top_cited", id="top-cited-not-a-list"),
+    pytest.param(("roles", "sante_publique"), 3, "$.roles.sante_publique",
+                 id="roles-entry-not-an-object"),
     pytest.param(("roles", "sante_publique", "role"), 3, "$.roles.sante_publique.role",
                  id="role-not-a-string"),
     pytest.param(("roles", "sante_publique", "role"), "hub", "$.roles.sante_publique.role",
                  id="unknown-role"),
+    pytest.param(("communities",), [], "$.communities", id="section-of-the-wrong-type"),
     pytest.param(("communities", "assignment"), [0, 1], "$.communities.assignment",
                  id="assignment-not-an-object"),
     pytest.param(("communities", "assignment", "not_a_code"), 0,

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexnet
+import lexnet.metrics
 import lexnet.nullmodels
 import lexnet.pipeline
 from lexnet.cli import main, run
@@ -160,7 +161,7 @@ class TestAnalyze:
         assert digests == GOLDEN_DIGESTS
 
     def test_one_projection_and_one_cohesion_test_per_run(self, extracted, tmp_path, monkeypatch):
-        calls = {"club_cohesion": 0, "undirected_projection": 0}
+        calls = {"club_cohesion": 0, "undirected_projection": 0, "top_citing": 0, "top_cited": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -172,14 +173,21 @@ class TestAnalyze:
         cohesion = counting("club_cohesion", lexnet.nullmodels.club_cohesion)
         monkeypatch.setattr(lexnet.pipeline, "club_cohesion", cohesion)
         monkeypatch.setattr(lexnet.nullmodels, "club_cohesion", cohesion)
+        for name in ("top_citing", "top_cited"):
+            ranking = counting(name, getattr(lexnet.metrics, name))
+            monkeypatch.setattr(lexnet.metrics, name, ranking)
+            if hasattr(lexnet.pipeline, name):
+                monkeypatch.setattr(lexnet.pipeline, name, ranking)
         monkeypatch.setattr(
             DiGraph,
             "undirected_projection",
             counting("undirected_projection", DiGraph.undirected_projection),
         )
         assert _analyze(extracted, tmp_path / "r.json") == 0
-        # one projection of the whole graph, one of the reduced network
-        assert calls == {"club_cohesion": 1, "undirected_projection": 2}
+        # one projection of the whole graph, one of the reduced network; the
+        # rankings section reads the rich club's rankings
+        assert calls == {"club_cohesion": 1, "undirected_projection": 2, "top_citing": 1,
+                         "top_cited": 1}
 
     def test_config_file_and_flag_override(self, extracted, tmp_path):
         edges, nodes = extracted

@@ -125,6 +125,18 @@ class TestCnm:
             ]
             assert all(b == a - 1 for a, b in zip(counts, counts[1:]))
 
+    @given(ugraphs())
+    @settings(max_examples=300, derandomize=True)
+    def test_each_merge_names_two_current_smallest_members_in_order(self, ug):
+        # assignment_after's union reads each label as its set's root
+        assume(ug.edge_count > 0)
+        members = {v: {v} for v in range(ug.node_count)}
+        for merge in cnm_trace(ug).merges:
+            assert merge.a < merge.b
+            assert merge.a in members and merge.b in members
+            assert min(members[merge.a]) == merge.a and min(members[merge.b]) == merge.b
+            members[merge.a] |= members.pop(merge.b)
+
     def test_assignment_dense_and_total(self):
         rng = random.Random(80)
         for _ in range(20):

@@ -117,6 +117,11 @@ class TestLoadRegistry:
         with pytest.raises(LexnetError, match="line 1: expected 3 tab-separated fields, got 1"):
             load_registry("just one field\n")
 
+    def test_empty_alias_of_a_directly_built_registry(self):
+        # load_registry rejects an empty alias by its line first
+        with pytest.raises(LexnetError, match="entry 'a' has an empty alias"):
+            CodeRegistry([RegistryEntry("a", "Code A", ("",))])
+
     def test_single_entry_registry_yields_empty_edges(self):
         registry = load_registry("civil\tCode civil\tcode civil\n")
         corpus = [CodeDocument("civil", "le code civil cite le code civil")]

@@ -206,8 +206,8 @@ class TestRichClubMembers:
         ]
         g = make_digraph(slugs, arcs)
         club = rich_club_members(g, 2, 3)
-        assert sorted(g.slug(v) for v in club.top_citing) == ["x", "y"]
-        assert sorted(g.slug(v) for v in club.top_cited) == ["p", "q", "r"]
+        assert sorted(g.slug(v) for v in club.top_citing.nodes) == ["x", "y"]
+        assert sorted(g.slug(v) for v in club.top_cited.nodes) == ["p", "q", "r"]
         assert len(club.members) == 5
         assert not club.overlap
 
@@ -500,3 +500,8 @@ class TestCentrality:
         g = make_digraph("abc", [("a", "b"), ("b", "a"), ("a", "c")])
         scores = degree_centrality(g)
         assert scores[g.id_of("a")] == pytest.approx(3 / 4)
+
+    def test_degree_centrality_of_one_node(self):
+        from lexnet.graph import DiGraph
+
+        assert degree_centrality(DiGraph(["a"])) == [0.0]

@@ -25,7 +25,6 @@ from lexnet.nullmodels import (
     NullModelStats,
     analysis_nulls,
     club_cohesion,
-    concentrated_world_assessment,
     degree_preserving_rewire,
     er_baseline,
     erdos_renyi_gnm,
@@ -331,7 +330,7 @@ def cohesion(g: DiGraph, samples: int, seed: int) -> _Normalized:
                            lambda *args: drawn.append(1) or rewire(*args)), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
         nulls = analysis_nulls(ug, club, config, baselines=False)
-    _, _, norm = club_cohesion(g, ug, club, nulls)
+    _, norm = club_cohesion(g, ug, club, nulls)
     return _Normalized(len(drawn), norm)
 
 
@@ -339,7 +338,7 @@ def drawn_by_analysis(fold):
     """fold's statistics in an analysis of an ER graph of n nodes and m edges on one CPU.
 
     Called as (n, m, samples, seed). analysis_nulls draws the samples and
-    the assessment folds them. Named as fold, which names the test case.
+    folds them. Named as fold, which names the test case.
     """
 
     @functools.wraps(fold)
@@ -353,8 +352,7 @@ def drawn_by_analysis(fold):
         with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
             nulls = analysis_nulls(ug, club, config, baselines=True)
         assert nulls.phis == []
-        baselines = concentrated_world_assessment(g, ug, False, config, nulls).baselines
-        return baselines[(er_baseline, ws_baseline).index(fold)]
+        return nulls.baselines[(er_baseline, ws_baseline).index(fold)]
 
     return statistic
 
@@ -397,7 +395,9 @@ class TestBaselines:
         # largest even number below n (K4: 4 -> 2, K8: 8 -> 6)
         slugs = "abcdefgh"[:n]
         g = make_digraph(slugs, [(a, b) for i, a in enumerate(slugs) for b in slugs[i + 1:]])
-        er, ws = assess(g, None, samples=2, seed=0).baselines
+        config = PipelineConfig(null_samples=2, seed=0)
+        club = rich_club_members(g, 1, 1)
+        er, ws = analysis_nulls(g.undirected_projection(), club, config, baselines=True).baselines
         assert ws.params == {"n": n, "k": k, "p": 0.1}
         assert er.params == {"n": n, "m": n * (n - 1) // 2}
 
@@ -476,7 +476,8 @@ def test_cohesion_fallback_reports_not_validated(reason):
     assert [name for name, held in holds.items() if held] == [reason]
     club = rich_club_members(g, k_citing, k_cited)
     nulls = analysis_nulls(ug, club, config, baselines=False)
-    assert club_cohesion(g, ug, club, nulls) == (False, k, None)
+    assert club_cohesion(g, ug, club, nulls) == (False, None)
+    assert nulls.k == k
     section = build_sections(g, config, ["rich_club"])["rich_club"]
     assert section["phi_normalized"] is None
     assert section["cohesion_validated"] is False
@@ -499,7 +500,8 @@ def test_cohesion_draws_no_rewiring_it_cannot_use(reason, rewirings_drawn, monke
     ug = g.undirected_projection()
     nulls = analysis_nulls(ug, club, config, baselines=False)
     assert len(calls) == len(nulls.phis) == rewirings_drawn
-    assert club_cohesion(g, ug, club, nulls) == (False, k, None)
+    assert club_cohesion(g, ug, club, nulls) == (False, None)
+    assert nulls.k == k
     calls.clear()
     assert build_sections(g, config, ["rich_club"])["rich_club"]["phi_normalized"] is None
     assert len(calls) == rewirings_drawn

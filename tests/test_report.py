@@ -14,9 +14,10 @@ from lexnet.config import PipelineConfig
 from lexnet.extraction import CodeDocument, build_edge_list, load_registry
 from lexnet.fixture import fixture_corpus, fixture_registry_text
 from lexnet.metrics import Role
-from lexnet.nullmodels import NullModelStats
+from lexnet.nullmodels import Assessment, NullModelStats
 from lexnet.pipeline import analyze_graph
 from lexnet.report import (
+    _ASSESSMENT_KEYS,
     _BASELINE_KEYS,
     _ROLES,
     DuplicateRecordWarning,
@@ -263,6 +264,17 @@ class TestCanonicalJson:
     def test_unicode_escaped(self):
         assert canonical_json("pénal") == '"p\\u00e9nal"'
 
+    def test_empty_object(self):
+        assert canonical_json({}) == "{}"
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(ValueError, match="report keys must be strings"):
+            canonical_json({1: 2})
+
+    def test_unsupported_value_rejected(self):
+        with pytest.raises(ValueError, match="unsupported report value"):
+            canonical_json({"a": {1, 2}})
+
 
 # Every field the schema requires: (keys down to the object that holds it,
 # that object's JSON path, the field). The slug is a fixture code.
@@ -298,6 +310,7 @@ def test_schema_literals_match_their_sources():
     # report.py writes these out so that it imports neither metrics nor nullmodels
     assert _ROLES == tuple(role.value for role in Role)
     assert _BASELINE_KEYS == NullModelStats._fields
+    assert _ASSESSMENT_KEYS == Assessment._fields
 
 
 class TestReportRoundTrip:
