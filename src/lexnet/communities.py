@@ -250,20 +250,24 @@ def cnm_communities(ug: UGraph) -> Partition:
 class MainCommunity(NamedTuple):
     index: int
     size: int
-    members: tuple[str, ...]  # slugs, sorted
+    members: list[str]  # slugs, sorted
 
 
 class CommunityReport(NamedTuple):
-    """Partition of the network left after discarding the rich club."""
+    """The ``communities`` report section: the partition left without the club.
 
-    partition: Partition
-    slugs: tuple[str, ...]  # reduced-graph node order
-    main_communities: tuple[MainCommunity, ...]
-    residual: tuple[str, ...]
+    ``_asdict()``, with each ``MainCommunity`` through ``_asdict()`` too,
+    gives the section. ``assignment`` maps each slug of the reduced graph
+    to its community index; ``removed`` is the club's slugs, sorted. The
+    list-valued fields hold lists, as a report read back from JSON does.
+    """
+
+    q: float
+    assignment: dict[str, int]
+    main: list[MainCommunity]
+    residual: list[str]
     min_size: int
-
-    def assignment_by_slug(self) -> dict[str, int]:
-        return {slug: self.partition.assignment[v] for v, slug in enumerate(self.slugs)}
+    removed: list[str]
 
 
 def reduced_network_partition(
@@ -274,30 +278,30 @@ def reduced_network_partition(
     Communities of size >= min_size are reported as main communities,
     ordered by size descending then smallest member slug; everything else
     lands in the residual set. A club that holds every node leaves no
-    edge to partition, like a reduced network without arcs.
+    edge to partition, like a reduced network without arcs. The result
+    is the ``communities`` report section's record.
     """
     club = set(rich_club)
     if club.issuperset(g.node_ids()):
         raise DegenerateGraphError("community detection needs at least one edge")
     reduced = g.remove_nodes(club)
-    ug = reduced.undirected_projection()
-    partition = cnm_communities(ug)
+    partition = cnm_communities(reduced.undirected_projection())
     slugs = reduced.slugs
 
-    groups = partition.communities()
     main = []
     residual: list[str] = []
-    for index, members in enumerate(groups):
-        member_slugs = tuple(sorted(slugs[v] for v in members))
+    for index, members in enumerate(partition.communities()):
+        member_slugs = sorted(slugs[v] for v in members)
         if len(members) >= min_size:
             main.append(MainCommunity(index, len(members), member_slugs))
         else:
             residual.extend(member_slugs)
     main.sort(key=lambda c: (-c.size, c.members[0]))
     return CommunityReport(
-        partition=partition,
-        slugs=slugs,
-        main_communities=tuple(main),
-        residual=tuple(sorted(residual)),
+        q=partition.q,
+        assignment=dict(zip(slugs, partition.assignment)),
+        main=main,
+        residual=sorted(residual),
         min_size=min_size,
+        removed=sorted(g.slug(v) for v in club),
     )

@@ -56,17 +56,17 @@ def build_roles_section(g: DiGraph) -> dict:
     }
 
 
-def build_rankings_section(g: DiGraph, club: RichClub, config: PipelineConfig) -> dict:
+def build_rankings_section(g: DiGraph, club: RichClub) -> dict:
     citing, cited = club.top_citing, club.top_cited
     return {
         "top_citing": {
-            "k": config.k_citing,
+            "k": len(citing.nodes),
             "slugs": [g.slug(v) for v in citing.nodes],
             "out_degrees": [g.out_degree(v) for v in citing.nodes],
             "truncated_tie": citing.truncated_tie,
         },
         "top_cited": {
-            "k": config.k_cited,
+            "k": len(cited.nodes),
             "slugs": [g.slug(v) for v in cited.nodes],
             "in_degrees": [g.in_degree(v) for v in cited.nodes],
             "truncated_tie": cited.truncated_tie,
@@ -109,17 +109,7 @@ def build_centrality_section(g: DiGraph, ug: UGraph) -> dict:
 
 def build_communities_section(g: DiGraph, club: RichClub, config: PipelineConfig) -> dict:
     report = reduced_network_partition(g, club.members, config.min_community_size)
-    return {
-        "q": report.partition.q,
-        "assignment": report.assignment_by_slug(),
-        "main": [
-            {"index": c.index, "size": c.size, "members": list(c.members)}
-            for c in report.main_communities
-        ],
-        "residual": list(report.residual),
-        "min_size": report.min_size,
-        "removed": sorted(g.slug(v) for v in club.members),
-    }
+    return {**report._asdict(), "main": [c._asdict() for c in report.main]}
 
 
 def build_baseline_sections(
@@ -171,7 +161,7 @@ def build_sections(
     sections = {
         "graph_summary": build_graph_summary(g, ug),
         "roles": build_roles_section(g),
-        "rankings": build_rankings_section(g, club, config),
+        "rankings": build_rankings_section(g, club),
         "rich_club": build_rich_club_section(g, ug, club, nulls, cohesion),
         "provenance": build_provenance(config, inputs, run_id),
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import unicodedata
 from collections import Counter, deque
@@ -94,6 +95,66 @@ def digraph_from_ugraph(ug: UGraph) -> DiGraph:
     width = len(str(ug.node_count - 1))
     slugs = [f"v{i:0{width}d}" for i in range(ug.node_count)]
     return digraph_from_ids(slugs, ((u, v, 1) for u, v in ug.edges()))
+
+
+def planted_digraph(
+    rng: random.Random, club: int, sizes, mu: float, out_arcs: int = 4
+) -> tuple[DiGraph, list[list[str]]]:
+    """A citation digraph with a planted club and planted communities.
+
+    Nodes 0..club-1 form the club: each cites every other member. The
+    communities of the given sizes follow, in node order. Each of their
+    nodes cites one club member and ``out_arcs`` other nodes; each of
+    those arcs leaves the node's community with probability mu, the
+    mixing parameter of the LFR benchmark (Lancichinetti, Fortunato &
+    Radicchi 2008), and then lands in another community. Slugs are
+    ``n<i>`` zero-padded to one width. Returns the graph and the planted
+    communities' slugs.
+    """
+    n = club + sum(sizes)
+    width = len(str(n - 1))
+    slugs = [f"n{v:0{width}d}" for v in range(n)]
+    arcs = {(s, t) for s in range(club) for t in range(club) if s != t}
+    communities = []
+    start = club
+    for size in sizes:
+        communities.append(range(start, start + size))
+        start += size
+    for own in communities:
+        others = [v for other in communities if other is not own for v in other]
+        for s in own:
+            arcs.add((s, s % club))
+            placed = 0
+            while placed < out_arcs:
+                t = rng.choice(others if rng.random() < mu else own)
+                if t != s and (s, t) not in arcs:
+                    arcs.add((s, t))
+                    placed += 1
+    g = digraph_from_ids(slugs, ((s, t, 1) for s, t in sorted(arcs)))
+    return g, [[slugs[v] for v in own] for own in communities]
+
+
+def normalized_mutual_information(a: dict, b: dict) -> float:
+    """NMI of two partitions of the same items, each a map item -> label.
+
+    2 I(A; B) / (H(A) + H(B)), as in Danon, Diaz-Guilera, Duch & Arenas
+    (2005); 1 when both partitions put every item in one group.
+    """
+    if a.keys() != b.keys():
+        raise ValueError("the partitions cover different items")
+    n = len(a)
+    joint = Counter((a[x], b[x]) for x in a)
+    count_a = Counter(a.values())
+    count_b = Counter(b.values())
+
+    def entropy(counts) -> float:
+        return -sum(c / n * math.log(c / n) for c in counts.values())
+
+    h = entropy(count_a) + entropy(count_b)
+    if h == 0.0:
+        return 1.0
+    info = sum(c / n * math.log(c * n / (count_a[x] * count_b[y])) for (x, y), c in joint.items())
+    return 2.0 * info / h
 
 
 @pytest.fixture

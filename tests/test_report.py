@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lexnet.communities import CommunityReport
 from lexnet.errors import LexnetError, MalformedLineError, SchemaViolationError
 from lexnet.config import PipelineConfig
 from lexnet.extraction import CodeDocument, build_edge_list, load_registry
@@ -26,6 +27,7 @@ from lexnet.report import (
     canonical_json,
     parse_edge_list,
     read_report,
+    validate_report_payload,
     write_dot,
     write_edge_list,
     write_graphml,
@@ -306,11 +308,21 @@ def report(fixture_graph):
     return analyze_graph(fixture_graph, config, inputs=["edges.tsv"], run_id="t")
 
 
-def test_schema_literals_match_their_sources():
+def test_schema_literals_match_their_sources(report):
     # report.py writes these out so that it imports neither metrics nor nullmodels
     assert _ROLES == tuple(role.value for role in Role)
     assert _BASELINE_KEYS == NullModelStats._fields
     assert _ASSESSMENT_KEYS == Assessment._fields
+    # nor communities: the communities keys it requires, found by dropping each
+    required = []
+    for key in report["communities"]:
+        section = {k: v for k, v in report["communities"].items() if k != key}
+        try:
+            validate_report_payload({**report, "communities": section})
+        except SchemaViolationError:
+            required.append(key)
+    assert sorted(required) == sorted(("q", "main", "residual", "min_size"))
+    assert set(required) <= set(CommunityReport._fields)
 
 
 class TestReportRoundTrip:
