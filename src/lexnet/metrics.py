@@ -48,11 +48,12 @@ def classify_role(in_degree: int, out_degree: int) -> Role:
 
 
 class NodeStats(NamedTuple):
-    node: NodeId
+    """One node's entry of the ``roles`` section."""
+
     in_degree: int
     out_degree: int
     total_degree: int
-    role: Role
+    role: str  # a Role's value
 
 
 def degree_profile(g: DiGraph) -> list[NodeStats]:
@@ -61,7 +62,7 @@ def degree_profile(g: DiGraph) -> list[NodeStats]:
     for v in g.node_ids():
         ind = g.in_degree(v)
         outd = g.out_degree(v)
-        profile.append(NodeStats(v, ind, outd, ind + outd, classify_role(ind, outd)))
+        profile.append(NodeStats(ind, outd, ind + outd, classify_role(ind, outd).value))
     return profile
 
 
@@ -222,6 +223,10 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
 
 
 class NormalizedPhi(NamedTuple):
+    """The ``phi_normalized`` entry of the ``rich_club`` section."""
+
+    k: int
+    samples: int  # the null graphs' phi(k) read
     phi: float
     phi_null_mean: float
     phi_norm: float
@@ -246,7 +251,7 @@ def normalized_rich_club(ug: UGraph, k: int, null_phis: Iterable[float]) -> Norm
     mean, stddev = mean_std(values)
     if mean == 0.0:
         return None
-    return NormalizedPhi(phi, mean, phi / mean, stddev)
+    return NormalizedPhi(k, len(values), phi, mean, phi / mean, stddev)
 
 
 # -- clustering and paths -----------------------------------------------------

@@ -8,10 +8,11 @@ samples: every sample one analysis reads (the cohesion test's rewirings,
 then the ER and the WS samples), through one ``ordered_map`` whose
 children are forked once, on the usable CPUs when the samples are worth
 the forks, and reaped before it returns. It returns finished statistics
-(:class:`Nulls`): the cohesion test's k, the rewirings' phi(k), and the
-ER and WS baselines as :func:`er_baseline` and :func:`ws_baseline` fold
-them. :func:`club_cohesion` and :func:`concentrated_world_assessment`
-take it as an argument.
+(:class:`Nulls`) for every family: the rewirings folded by
+:func:`~lexnet.metrics.normalized_rich_club`, and the ER and WS
+baselines as :func:`er_baseline` and :func:`ws_baseline` fold them.
+:func:`club_cohesion` and :func:`concentrated_world_assessment` take it
+as an argument.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .config import PipelineConfig
 from .errors import DegenerateGraphError, LexnetError
 from .graph import DiGraph, UGraph
 from .metrics import (
+    NormalizedPhi,
     RichClub,
     average_path_length,
     density,
@@ -255,8 +257,9 @@ def ws_baseline(n: int, k_even: int, p: float, seed: int, samples: list[tuple]) 
 class Nulls(NamedTuple):
     """What the null models give one analysis (see :func:`analysis_nulls`)."""
 
-    k: int  # the cohesion test's k: the least degree of a club member on the projection
-    phis: list[float]  # phi(k) of each rewiring, in sample order; empty when none is drawn
+    # phi(k) at the club's least member degree k, normalized over the rewirings;
+    # None when the cohesion test cannot run
+    phi_normalized: NormalizedPhi | None
     baselines: tuple[NullModelStats, ...]  # (ER, WS), or empty when they are not drawn
 
 
@@ -272,14 +275,14 @@ def analysis_nulls(ug: UGraph, club: RichClub, config: PipelineConfig, baselines
     family has ``config.null_samples`` samples, each from its own stream
     of ``config.seed``. First the cohesion test's rewirings of ug, of
     ``config.rewire_budget_factor`` swap attempts per edge, with phi(k) of
-    each at k, the least degree of a club member: none when ug has fewer
-    than two edges to rewire or phi(k) is undefined, since
-    :func:`club_cohesion` then reads none. Then, with baselines, the
-    density-matched ER and WS samples (rewiring probability
-    ``config.ws_p``), folded by :func:`er_baseline` and :func:`ws_baseline`:
-    none below 3 nodes, where :func:`concentrated_world_assessment`
-    raises. The map is read to the end, so its children are reaped before
-    this returns.
+    each at k, the least degree of a club member, folded by
+    :func:`~lexnet.metrics.normalized_rich_club`: none when ug has fewer
+    than two edges to rewire or phi(k) is undefined, and then
+    ``phi_normalized`` is None. Then, with baselines, the density-matched
+    ER and WS samples (rewiring probability ``config.ws_p``), folded by
+    :func:`er_baseline` and :func:`ws_baseline`: none below 3 nodes,
+    where :func:`concentrated_world_assessment` raises. The map is read
+    to the end, so its children are reaped before this returns.
     """
     n, m, samples = ug.node_count, ug.edge_count, config.null_samples
     k = min(len(ug.adj[v]) for v in club.members)
@@ -309,11 +312,11 @@ def analysis_nulls(ug: UGraph, club: RichClub, config: PipelineConfig, baselines
         ]
     tasks = [(draw, i) for draw, _ in ensembles for i in range(samples)]
     drawn = list(ordered_map(_draw, tasks, samples * sum(cost for _, cost in ensembles)))
-    phis = drawn[:samples] if rewired else []
+    norm = normalized_rich_club(ug, k, drawn[:samples]) if rewired else None
     if not folded:
-        return Nulls(k, phis, ())
-    er, ws = drawn[len(phis):len(phis) + samples], drawn[len(phis) + samples:]
-    return Nulls(k, phis, (er_baseline(n, m, er_seed, er), ws_baseline(n, k_even, p, ws_seed, ws)))
+        return Nulls(norm, ())
+    er, ws = drawn[-2 * samples:-samples], drawn[-samples:]
+    return Nulls(norm, (er_baseline(n, m, er_seed, er), ws_baseline(n, k_even, p, ws_seed, ws)))
 
 
 # -- assessment ----------------------------------------------------------------------
@@ -338,22 +341,19 @@ class Assessment(NamedTuple):
     verdict: str
 
 
-def club_cohesion(g: DiGraph, ug: UGraph, club: RichClub, nulls: Nulls):
+def club_cohesion(g: DiGraph, club: RichClub, nulls: Nulls) -> bool:
     """Check the two-part cohesion rule for a candidate rich club.
 
     Cohesion holds when the club's internal arc density strictly exceeds
     the overall graph density and the normalized rich-club coefficient at
-    k = ``nulls.k``, the minimum member degree on the projection, exceeds
-    1. The coefficient is normalized over the rewirings' phi(k),
-    ``nulls.phis``, as :func:`analysis_nulls` draws them for club. Returns
-    (validated, NormalizedPhi-or-None): None, and not validated, when no
-    rewiring was drawn (the graph has fewer than two edges to rewire, or
-    phi(k) is undefined) or the null mean is zero.
+    k, the minimum member degree on the projection, exceeds 1. That
+    coefficient is ``nulls.phi_normalized``, as :func:`analysis_nulls`
+    draws and folds it for club; cohesion does not hold when it is None
+    (the graph has fewer than two edges to rewire, phi(k) is undefined,
+    or the null mean is zero).
     """
-    norm = normalized_rich_club(ug, nulls.k, nulls.phis) if nulls.phis else None
-    if norm is None:
-        return False, None
-    return club.internal_density > density(g) and norm.phi_norm > 1.0, norm
+    norm = nulls.phi_normalized
+    return norm is not None and club.internal_density > density(g) and norm.phi_norm > 1.0
 
 
 def concentrated_world_assessment(

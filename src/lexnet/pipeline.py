@@ -45,15 +45,7 @@ def build_graph_summary(g: DiGraph, ug: UGraph) -> dict:
 
 
 def build_roles_section(g: DiGraph) -> dict:
-    return {
-        g.slug(stats.node): {
-            "in_degree": stats.in_degree,
-            "out_degree": stats.out_degree,
-            "total_degree": stats.total_degree,
-            "role": stats.role.value,
-        }
-        for stats in degree_profile(g)
-    }
+    return {slug: stats._asdict() for slug, stats in zip(g.slugs, degree_profile(g))}
 
 
 def build_rankings_section(g: DiGraph, club: RichClub) -> dict:
@@ -75,13 +67,10 @@ def build_rankings_section(g: DiGraph, club: RichClub) -> dict:
 
 
 def build_rich_club_section(
-    g: DiGraph, ug: UGraph, club: RichClub, nulls: Nulls, cohesion: tuple
+    g: DiGraph, ug: UGraph, club: RichClub, nulls: Nulls, validated: bool
 ) -> dict:
     table = {str(k): phi for k, phi in phi_table(ug).items()}
-    validated, norm = cohesion
-    normalized = None
-    if norm is not None:
-        normalized = {"k": nulls.k, "samples": len(nulls.phis), **norm._asdict()}
+    norm = nulls.phi_normalized
     return {
         "members": sorted(g.slug(v) for v in club.members),
         "top_citing": [g.slug(v) for v in club.top_citing.nodes],
@@ -92,7 +81,7 @@ def build_rich_club_section(
         "quotation_capture": club.quotation_capture,
         "quotation_capture_weighted": club.quotation_capture_weighted,
         "phi": table,
-        "phi_normalized": normalized,
+        "phi_normalized": None if norm is None else norm._asdict(),
         "cohesion_validated": validated,
     }
 
@@ -157,17 +146,17 @@ def build_sections(
     club = rich_club_members(g, config.k_citing, config.k_cited)
     baselines = "baselines" in names or "assessment" in names
     nulls = analysis_nulls(ug, club, config, baselines)
-    cohesion = club_cohesion(g, ug, club, nulls)
+    validated = club_cohesion(g, club, nulls)
     sections = {
         "graph_summary": build_graph_summary(g, ug),
         "roles": build_roles_section(g),
         "rankings": build_rankings_section(g, club),
-        "rich_club": build_rich_club_section(g, ug, club, nulls, cohesion),
+        "rich_club": build_rich_club_section(g, ug, club, nulls, validated),
         "provenance": build_provenance(config, inputs, run_id),
     }
     if baselines:
         sections["baselines"], sections["assessment"] = build_baseline_sections(
-            g, ug, cohesion[0], config, nulls
+            g, ug, validated, config, nulls
         )
     if "centrality" in names:
         sections["centrality"] = build_centrality_section(g, ug)

@@ -291,11 +291,11 @@ SECTION_TYPES = {
 }
 
 _GRAPH_SUMMARY_KEYS = ("n", "arcs", "undirected_edges", "density")
+# The fields of metrics.NodeStats, the values of metrics.Role, and below
+# the fields of nullmodels.Assessment and nullmodels.NullModelStats,
+# written out so that reading and writing reports loads neither module;
+# tests/test_report.py pins all four.
 _ROLE_KEYS = ("in_degree", "out_degree", "total_degree", "role")
-# The values of metrics.Role, and below the fields of
-# nullmodels.Assessment and nullmodels.NullModelStats, written out so
-# that reading and writing reports loads neither module;
-# tests/test_report.py pins all three.
 _ROLES = ("isolated", "pendant", "source_only", "sink_only", "ordinary")
 _CLUB_KEYS = ("members", "top_citing", "top_cited", "internal_density", "quotation_capture")
 _ASSESSMENT_KEYS = (

@@ -4,12 +4,14 @@
 
 Imports ``lexnet.cli`` and builds its parser with ``run([])``, then checks
 the modules this added: none may belong to a forbidden standard-library
-package, and the lexnet modules must be exactly ``START_MODULES``. It
-checks the lexnet the interpreter finds: the checkout with
-``PYTHONPATH=src``, an installed package without it. Only modules added
-by the import count, since what ``site`` loads differs between hosts.
-Prints where lexnet was found and exits 0, or names the offending
-modules and exits 1.
+package, and the lexnet modules must be exactly ``START_MODULES``. Then
+imports every other lexnet submodule and checks that the runtime stays
+standard-library only: each module this adds is lexnet's own or has a
+top-level name in ``sys.stdlib_module_names``. It checks the lexnet the
+interpreter finds: the checkout with ``PYTHONPATH=src``, an installed
+package without it. Only modules added by the imports count, since what
+``site`` loads differs between hosts. Prints where lexnet was found and
+exits 0, or names the offending modules and exits 1.
 """
 
 import io
@@ -57,6 +59,19 @@ def added_modules() -> set[str]:
     return set(sys.modules) - before
 
 
+def third_party_modules() -> list[str]:
+    """The modules outside lexnet and the standard library that importing every lexnet module adds."""
+    import pkgutil
+    from importlib import import_module
+
+    before = set(sys.modules)
+    lexnet = import_module("lexnet")
+    for module in pkgutil.iter_modules(lexnet.__path__):
+        import_module(f"lexnet.{module.name}")
+    roots = {name.split(".")[0] for name in set(sys.modules) - before}
+    return sorted(roots - {"lexnet"} - sys.stdlib_module_names)
+
+
 if __name__ == "__main__":
     added = added_modules()
     found = []
@@ -67,6 +82,10 @@ if __name__ == "__main__":
     if lexnet_modules != sorted(START_MODULES):
         found.append(f"importing lexnet.cli loaded the lexnet modules {lexnet_modules}, "
                      f"not {list(START_MODULES)}")
+    third_party = third_party_modules()
+    if third_party:
+        found.append(f"importing every lexnet module loaded {third_party}, "
+                     "outside the standard library")
     if found:
         sys.exit("\n".join(found))
     print(sys.modules["lexnet"].__file__)

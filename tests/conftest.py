@@ -709,7 +709,7 @@ def assess(g: DiGraph, club, samples: int, seed: int, **config):
     ug = g.undirected_projection()
     drawn_for = club if club is not None else rich_club_members(g, 1, 1)
     nulls = analysis_nulls(ug, drawn_for, config, baselines=True)
-    present = club is not None and club_cohesion(g, ug, club, nulls)[0]
+    present = club is not None and club_cohesion(g, club, nulls)
     return concentrated_world_assessment(g, ug, present, config, nulls)
 
 

@@ -1030,7 +1030,7 @@ def test_normalized_rich_club_loads_no_null_model():
             "from lexnet.graph import UGraph\n"
             "from lexnet.metrics import normalized_rich_club\n"
             "ug = UGraph([{1, 2}, {0, 2}, {0, 1}])\n"
-            "assert normalized_rich_club(ug, 1, iter([1.0])) == (1.0, 1.0, 1.0, 0.0)\n"
+            "assert normalized_rich_club(ug, 1, iter([1.0])) == (1, 1, 1.0, 1.0, 1.0, 0.0)\n"
             "print(sorted({'lexnet.nullmodels', 'lexnet.seeding'} & set(sys.modules)))")
     assert _fresh_python(["-c", code]) == "[]\n"
 
@@ -1091,6 +1091,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
 
 def test_cli_start_loads_no_heavy_stdlib_module():
     # check_imports.py fails on a heavy stdlib module or a lexnet module
-    # outside its START_MODULES
+    # outside its START_MODULES at start-up, and on any module outside the
+    # standard library that a lexnet module imports
     script = Path(__file__).resolve().parent / "check_imports.py"
     assert Path(_fresh_python([str(script)]).strip()).parent == SRC / "lexnet"

@@ -318,7 +318,7 @@ def rewired_rich_club(ug: UGraph, k: int, samples: int, seed: int) -> _Normalize
 
 
 def cohesion(g: DiGraph, samples: int, seed: int) -> _Normalized:
-    """club_cohesion of g's (8, 8) rich club on one CPU, counting the rewirings drawn for it."""
+    """The cohesion test's phi_normalized for g's (8, 8) rich club on one CPU, counting its rewirings."""
     import lexnet.nullmodels
 
     drawn = []
@@ -330,8 +330,11 @@ def cohesion(g: DiGraph, samples: int, seed: int) -> _Normalized:
                            lambda *args: drawn.append(1) or rewire(*args)), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
         nulls = analysis_nulls(ug, club, config, baselines=False)
-    _, norm = club_cohesion(g, ug, club, nulls)
-    return _Normalized(len(drawn), norm)
+    return _Normalized(len(drawn), nulls.phi_normalized)
+
+
+def _no_rewiring(*args):
+    raise AssertionError("a rewiring was drawn")
 
 
 def drawn_by_analysis(fold):
@@ -343,15 +346,18 @@ def drawn_by_analysis(fold):
 
     @functools.wraps(fold)
     def statistic(n: int, m: int, samples: int, seed: int) -> NullModelStats:
+        import lexnet.nullmodels
+
         ug = erdos_renyi_gnm(n, m, 1)
         g = digraph_from_ugraph(ug)
         config = PipelineConfig(null_samples=samples, seed=seed)
         # a club of one top-degree node leaves phi(k) undefined, so only the baselines are drawn
         hub = max(range(n), key=lambda v: len(ug.adj[v]))
         club = rich_club_members(g, 1, 1)._replace(members=frozenset({hub}))
-        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        with mock.patch.object(lexnet.nullmodels, "degree_preserving_rewire", _no_rewiring), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
             nulls = analysis_nulls(ug, club, config, baselines=True)
-        assert nulls.phis == []
+        assert nulls.phi_normalized is None
         return nulls.baselines[(er_baseline, ws_baseline).index(fold)]
 
     return statistic
@@ -424,6 +430,19 @@ class TestAssessment:
             result = assess(g, club, samples=20, seed=seed)
             assert result.verdict in ("sparse_random_like", "inconclusive")
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "phi_norm > 1 is a coin flip on a density-matched ER graph: 15 of seeds 0-29 "
+        "(29 of seeds 0-59) read concentrated_world; a significance test must replace it"))
+    def test_density_matched_er_is_rarely_concentrated(self):
+        # 241 edges on 52 nodes give the fixture's mean total degree, so
+        # the density rule passes and the verdict rides on the cohesion test
+        concentrated = 0
+        for seed in range(30):
+            g = digraph_from_ugraph(erdos_renyi_gnm(52, 241, seed=seed))
+            result = assess(g, rich_club_members(g, 5, 6), samples=25, seed=seed)
+            concentrated += result.verdict == "concentrated_world"
+        assert concentrated <= 3  # 10 % of the seeds
+
     def test_verdict_is_pure_function_of_inputs(self, fixture_graph):
         club = rich_club_members(fixture_graph, 5, 6)
         a = assess(fixture_graph, club, samples=10, seed=3)
@@ -476,8 +495,8 @@ def test_cohesion_fallback_reports_not_validated(reason):
     assert [name for name, held in holds.items() if held] == [reason]
     club = rich_club_members(g, k_citing, k_cited)
     nulls = analysis_nulls(ug, club, config, baselines=False)
-    assert club_cohesion(g, ug, club, nulls) == (False, None)
-    assert nulls.k == k
+    assert nulls.phi_normalized is None
+    assert club_cohesion(g, club, nulls) is False
     section = build_sections(g, config, ["rich_club"])["rich_club"]
     assert section["phi_normalized"] is None
     assert section["cohesion_validated"] is False
@@ -493,15 +512,15 @@ def test_cohesion_draws_no_rewiring_it_cannot_use(reason, rewirings_drawn, monke
     rewire = lexnet.nullmodels.degree_preserving_rewire
     monkeypatch.setattr(lexnet.nullmodels, "degree_preserving_rewire",
                         lambda *args: calls.append(args) or rewire(*args))
-    slugs, arcs, k_citing, k_cited, k = _COHESION_FALLBACKS[reason]
+    slugs, arcs, k_citing, k_cited, _ = _COHESION_FALLBACKS[reason]
     g = make_digraph(slugs, arcs)
     config = PipelineConfig(k_citing=k_citing, k_cited=k_cited, null_samples=1)
     club = rich_club_members(g, k_citing, k_cited)
     ug = g.undirected_projection()
     nulls = analysis_nulls(ug, club, config, baselines=False)
-    assert len(calls) == len(nulls.phis) == rewirings_drawn
-    assert club_cohesion(g, ug, club, nulls) == (False, None)
-    assert nulls.k == k
+    assert len(calls) == rewirings_drawn
+    assert nulls.phi_normalized is None
+    assert club_cohesion(g, club, nulls) is False
     calls.clear()
     assert build_sections(g, config, ["rich_club"])["rich_club"]["phi_normalized"] is None
     assert len(calls) == rewirings_drawn

@@ -348,15 +348,19 @@ def test_analysis_nulls_returns_every_sample_with_its_children_reaped(
     club = rich_club_members(g, 2, 2)
     use_cpus(monkeypatch, 3, any_work=True)
     forked = count_forks(monkeypatch)
-    k, phis, stats = analysis_nulls(ug, club, config, baselines)
+    norm, stats = analysis_nulls(ug, club, config, baselines)
     assert not _has_child()
-    assert k == min(len(ug.adj[v]) for v in club.members)
+    k = min(len(ug.adj[v]) for v in club.members)
     cohesion_reads = ug.edge_count >= 2 and phi_table(ug).get(k) is not None
     assert cohesion_reads == (g is fixture_graph)
-    assert len(phis) == (config.null_samples if cohesion_reads else 0)
+    rewirings = config.null_samples if cohesion_reads else 0
+    if cohesion_reads:
+        assert (norm.k, norm.samples) == (k, rewirings)
+    else:
+        assert norm is None
     folded = baselines and g.node_count >= 3
     assert [s.samples for s in stats] == ([config.null_samples] * 2 if folded else [])
-    assert bool(forked) == (len(phis) + sum(s.samples for s in stats) >= 2)
+    assert bool(forked) == (rewirings + sum(s.samples for s in stats) >= 2)
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises-after-the-draw"])

@@ -14,12 +14,13 @@ from lexnet.errors import LexnetError, MalformedLineError, SchemaViolationError
 from lexnet.config import PipelineConfig
 from lexnet.extraction import CodeDocument, build_edge_list, load_registry
 from lexnet.fixture import fixture_corpus, fixture_registry_text
-from lexnet.metrics import Role
+from lexnet.metrics import NodeStats, NormalizedPhi, Role
 from lexnet.nullmodels import Assessment, NullModelStats
 from lexnet.pipeline import analyze_graph
 from lexnet.report import (
     _ASSESSMENT_KEYS,
     _BASELINE_KEYS,
+    _ROLE_KEYS,
     _ROLES,
     DuplicateRecordWarning,
     _escape,
@@ -311,6 +312,7 @@ def report(fixture_graph):
 def test_schema_literals_match_their_sources(report):
     # report.py writes these out so that it imports neither metrics nor nullmodels
     assert _ROLES == tuple(role.value for role in Role)
+    assert _ROLE_KEYS == NodeStats._fields
     assert _BASELINE_KEYS == NullModelStats._fields
     assert _ASSESSMENT_KEYS == Assessment._fields
     # nor communities: the communities keys it requires, found by dropping each
@@ -323,6 +325,11 @@ def test_schema_literals_match_their_sources(report):
             required.append(key)
     assert sorted(required) == sorted(("q", "main", "residual", "min_size"))
     assert set(required) <= set(CommunityReport._fields)
+
+
+def test_records_are_their_section_entries(report):
+    assert tuple(report["rich_club"]["phi_normalized"]) == NormalizedPhi._fields
+    assert {tuple(entry) for entry in report["roles"].values()} == {NodeStats._fields}
 
 
 class TestReportRoundTrip:
