@@ -64,7 +64,7 @@ def load_config(text: str | None, overrides: Mapping[str, Any] | None = None) ->
     if text is not None:
         try:
             loaded = json.loads(text)
-        except ValueError as exc:  # not JSON, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:  # not JSON, an overlong integer or deep nesting
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")

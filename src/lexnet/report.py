@@ -387,7 +387,7 @@ def read_report(text: str) -> dict:
     """Parse and validate a report: the inverse of :func:`write_report`."""
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # not JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # not JSON, an overlong integer or deep nesting
         raise SchemaViolationError("$", f"not valid JSON: {exc}") from exc
     validate_report_payload(payload)
     return payload

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lexnet
 import lexnet.metrics
 import lexnet.nullmodels
 import lexnet.pipeline
@@ -494,6 +493,7 @@ class TestExitCodes:
             pytest.param('{"seed": ' + "7" * 5000 + "}", "config file", id="integer-too-long"),
             pytest.param('{"degree_fraction": 1' + "0" * 400 + "}", "degree_fraction",
                          id="integer-past-float-range"),
+            pytest.param('{"a": ' * 100_000 + "}" * 100_000, "config file", id="nested-too-deep"),
         ],
     )
     def test_bad_config_file_value(self, extracted, tmp_path, capsys, text, key):
@@ -537,6 +537,21 @@ class TestExitCodes:
         assert rc == 3
         assert len(err.splitlines()) == 1
         assert err.startswith(f"lexnet: {path}: ")
+        assert not dot.exists() and not graphml.exists()
+
+    def test_nested_report_on_export(self, extracted, tmp_path, capsys):
+        # past the recursion limit json.loads raises RecursionError, not ValueError
+        edges, nodes = extracted
+        report_path = tmp_path / "report.json"
+        report_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        dot = tmp_path / "g.dot"
+        graphml = tmp_path / "g.graphml"
+        rc = run(["export", "--edges", str(edges), "--nodes", str(nodes), "--report",
+                  str(report_path), "--dot", str(dot), "--graphml", str(graphml)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("lexnet: $: not valid JSON: ")
         assert not dot.exists() and not graphml.exists()
 
     @pytest.mark.parametrize(("argv", "code", "message"), [
@@ -946,31 +961,8 @@ def test_every_error_class_has_its_exit_code():
     assert {cls.__name__: cls.exit_code for cls in classes} == _EXIT_CODES
 
 
-def test_every_public_name_resolves():
-    # each name is imported on first use; it is the object its submodule defines
-    for name in lexnet.__all__:
-        if name != "__version__":
-            value = getattr(lexnet, name)
-            assert value.__module__.startswith("lexnet."), name
-            assert getattr(sys.modules[value.__module__], name) is value, name
-
-
 class TestLazyPackage:
-    """``import lexnet`` loads no submodule; each public name is imported on first use."""
-
-    def test_star_import(self):
-        namespace: dict = {}
-        exec("from lexnet import *", namespace)
-        assert {name: namespace[name] for name in lexnet.__all__} == {
-            name: getattr(lexnet, name) for name in lexnet.__all__
-        }
-
-    def test_dir_lists_every_public_name(self):
-        assert set(lexnet.__all__) <= set(dir(lexnet))
-
-    def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="'no_such_name'"):
-            lexnet.no_such_name
+    """``import lexnet`` loads no submodule."""
 
     def test_import_loads_no_submodule(self):
         code = ("import sys, lexnet\n"

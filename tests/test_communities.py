@@ -16,6 +16,7 @@ from lexnet.communities import (
     modularity,
     reduced_network_partition,
 )
+from lexnet.config import PipelineConfig
 from lexnet.errors import DegenerateGraphError, LexnetError
 from lexnet.graph import UGraph
 from lexnet.metrics import rich_club_members
@@ -432,6 +433,41 @@ class TestPlantedCommunities:
             truth = {slug: i for i, members in enumerate(planted) for slug in members}
             worst = min(worst, normalized_mutual_information(report.assignment, truth))
         assert worst > bound
+
+
+# Club recovery on the same planted graphs: the Jaccard index of
+# rich_club_members against the planted club, nodes 0..9. Measured least
+# index over seeds 0-19 with k_citing = k_cited = 10: 1.0 at mu = 0, 0.2
+# and 0.8, and 0.909 at mu = 0.5, where one community node enters the
+# in-degree ranking beside the ten members. At the default k = (5, 6) it
+# is 0.6 at every mu: each member cites the other nine, so the two
+# rankings overlap and their union holds 6 members and no other node.
+# The reported club is capped by the ranking sizes, not by mixing.
+PLANTED_MIXING = (0.0, 0.2, 0.5, 0.8)
+
+
+def club_jaccards(mu: float, k_citing: int, k_cited: int) -> list[float]:
+    """The Jaccard index of the reported club against the planted one, per seed."""
+    club = set(range(PLANTED_CLUB))
+    scores = []
+    for seed in PLANTED_SEEDS:
+        g, _ = planted_digraph(random.Random(seed), PLANTED_CLUB, PLANTED_SIZES, mu)
+        members = rich_club_members(g, k_citing, k_cited).members
+        scores.append(len(members & club) / len(members | club))
+    return scores
+
+
+class TestPlantedClub:
+    @pytest.mark.parametrize(("mu", "bound"), [(0.0, 1.0), (0.2, 1.0), (0.5, 0.9), (0.8, 1.0)])
+    def test_rankings_as_large_as_the_club_recover_it(self, mu, bound):
+        assert min(club_jaccards(mu, PLANTED_CLUB, PLANTED_CLUB)) >= bound
+
+    def test_default_rankings_cap_the_club_at_six_members(self):
+        defaults = PipelineConfig._field_defaults
+        k = defaults["k_citing"], defaults["k_cited"]
+        assert k == (5, 6)
+        for mu in PLANTED_MIXING:
+            assert set(club_jaccards(mu, *k)) == {0.6}, mu
 
 
 class TestNormalizedMutualInformation:

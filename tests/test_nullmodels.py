@@ -443,6 +443,19 @@ class TestAssessment:
             concentrated += result.verdict == "concentrated_world"
         assert concentrated <= 3  # 10 % of the seeds
 
+    def test_fixture_verdict_holds_over_config_seeds(self, fixture_graph):
+        # measured over seeds 0-19 at the default 100 null samples: cohesion
+        # validated and concentrated_world on 20 of 20, phi_norm from 1.260
+        # to 1.295; the communities draw no randomness, so need no seed loop
+        phi_norms = []
+        for seed in range(20):
+            sections = build_sections(fixture_graph, PipelineConfig(seed=seed),
+                                      ("rich_club", "assessment"))
+            assert sections["rich_club"]["cohesion_validated"], seed
+            assert sections["assessment"]["verdict"] == "concentrated_world", seed
+            phi_norms.append(sections["rich_club"]["phi_normalized"]["phi_norm"])
+        assert min(phi_norms) > 1.25
+
     def test_verdict_is_pure_function_of_inputs(self, fixture_graph):
         club = rich_club_members(fixture_graph, 5, 6)
         a = assess(fixture_graph, club, samples=10, seed=3)
