@@ -44,23 +44,36 @@ _OVERRIDE_FLAGS = (
     ("rewire_budget_factor", int),
 )
 
-# The report sections each analysis subcommand writes, all selected from
-# one pipeline pass, so a partial output is section-identical to analyze;
-# None stands for every section.
-_COMMAND_SECTIONS = {
-    "analyze": None,
-    "richclub": ("graph_summary", "rich_club", "provenance"),
-    "communities": ("graph_summary", "communities", "provenance"),
-    "nulls": ("graph_summary", "baselines", "assessment", "provenance"),
+# Each report command's help text and the report sections it writes, all
+# selected from one pipeline pass, so a partial output is section-identical
+# to analyze's; None stands for every section.
+_REPORT_COMMANDS = {
+    "analyze": ("full analysis report", None),
+    "richclub": ("rich-club section only", ("graph_summary", "rich_club", "provenance")),
+    "communities": ("communities section only", ("graph_summary", "communities", "provenance")),
+    "nulls": (
+        "baselines and assessment only",
+        ("graph_summary", "baselines", "assessment", "provenance"),
+    ),
 }
 
 
 def _write_text(path: str | None, text: str) -> None:
     """Write to stdout, or atomically to path."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    if path is not None:
         write_text_atomic(path, text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:
+            # what the failed write left buffered is flushed again at exit;
+            # pointing fd 1 at devnull keeps that flush from failing too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise LexnetError(f"cannot write to standard output: {exc}") from exc
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -89,12 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="edge-list output (default: stdout)")
     p.add_argument("--nodes-out", help="write a node sidecar listing all registry slugs")
 
-    for name, help_text in (
-        ("analyze", "full analysis report"),
-        ("richclub", "rich-club section only"),
-        ("communities", "communities section only"),
-        ("nulls", "baselines and assessment only"),
-    ):
+    for name, (help_text, _) in _REPORT_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_graph_flags(p)
         _add_config_flags(p)
@@ -156,10 +164,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise LexnetError(f"corpus directory {args.corpus!r} does not exist")
-    corpus = [
+    corpus = (
         CodeDocument(path.stem, read_text(str(path)))
         for path in sorted(corpus_dir.glob("*.txt"))
-    ]
+    )
     from .report import write_edge_list, write_node_sidecar
 
     _write_text(args.out, write_edge_list(build_edge_list(corpus, registry)))
@@ -170,20 +178,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .pipeline import analyze_graph, build_sections
-    from .report import SCHEMA_VERSION, canonical_json, write_report
+    from .report import canonical_json, write_report
 
     graph = _load_graph(args)
     config = _load_pipeline_config(args)
-    for key in ("k_citing", "k_cited"):
-        k = getattr(config, key)
-        if k > graph.node_count:
-            raise ConfigError(f"{key}={k} exceeds the node count {graph.node_count}")
-    names = _COMMAND_SECTIONS[args.command]
+    _, names = _REPORT_COMMANDS[args.command]
     if names is None:
         text = write_report(analyze_graph(graph, config, _inputs(args), args.run_id))
     else:
-        sections = build_sections(graph, config, names, _inputs(args), args.run_id)
-        text = canonical_json({"schema_version": SCHEMA_VERSION, **sections}) + "\n"
+        report = build_sections(graph, config, names, _inputs(args), args.run_id)
+        text = canonical_json(report) + "\n"
     _write_text(args.out, text)
     return 0
 
@@ -219,7 +223,7 @@ _PREFIXES = {2: "configuration error: ", 3: "", 4: "degenerate graph: "}
 
 _COMMANDS = {
     "extract": _cmd_extract,
-    **dict.fromkeys(_COMMAND_SECTIONS, _cmd_report),
+    **dict.fromkeys(_REPORT_COMMANDS, _cmd_report),
     "export": _cmd_export,
     "fixture": _cmd_fixture,
 }

@@ -15,74 +15,25 @@ from pathlib import Path
 
 from .files import write_text_atomic
 
-HEXAGON = "sante_publique"
-SQUARES = ("collectivites_territoriales", "environnement", "securite_sociale", "rural")
-CIRCLES = ("penal", "civil", "procedure_penale", "travail", "commerce")
-CITING_FIVE = (HEXAGON,) + SQUARES
-CLUB = CITING_FIVE + CIRCLES
-
-ISOLATED = "legion_honneur"
-PENDANT = "instruments_monetaires"
-SOURCE_ONLY = "artisanat"
-
-TERR = (
-    "urbanisme",
-    "construction_habitation",
-    "expropriation",
-    "domaine_etat",
-    "voirie_routiere",
-    "forestier",
-    "minier",
-    "ports_maritimes",
-    "domaine_public_fluvial",
-    "route",
-    "tourisme",
-    "patrimoine",
-    "propriete_publique",
-)
-SOCIAL = (
-    "action_sociale",
-    "consommation",
-    "mutualite",
-    "assurances",
-    "education",
-    "sport",
-    "cinema",
-    "service_national",
-    "pensions_retraite",
-    "pensions_invalidite",
-    "etrangers",
-    "recherche",
-)
-ADMIN = (
-    "justice_administrative",
-    "juridictions_financieres",
-    "organisation_judiciaire",
-    "justice_militaire",
-    "defense",
-    "douanes",
-    "marches_publics",
-    "postes_communications",
-    "monetaire_financier",
-    "aviation_civile",
-    "communes",
-    "electoral",
-)
-COMMUNITY = TERR + SOCIAL + ADMIN
-STRAGGLERS = ("propriete_intellectuelle", "marine_marchande")
-
-# (slug, display name, extra aliases beyond the display name)
-CODES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
+# (slug, display name, extra aliases beyond the display name), one table
+# per planted group; the registry lists the groups in this order
+_CLUB_CODES = (
+    # the five most citing: the hexagon, which is also most cited, then
+    # the four squares
     ("sante_publique", "Code de la santé publique", ("csp",)),
     ("collectivites_territoriales", "Code général des collectivités territoriales", ("cgct",)),
     ("environnement", "Code de l'environnement", ()),
     ("securite_sociale", "Code de la sécurité sociale", ()),
     ("rural", "Code rural", ("code rural et de la pêche maritime",)),
+    # the five circles, most cited
     ("penal", "Code pénal", ()),
     ("civil", "Code civil", ()),
     ("procedure_penale", "Code de procédure pénale", ()),
     ("travail", "Code du travail", ()),
     ("commerce", "Code de commerce", ()),
+)
+# the isolated, the pendant and the source-only code
+_SINGULAR_CODES = (
     (
         "legion_honneur",
         "Code de la Légion d'honneur et de la médaille militaire",
@@ -94,6 +45,8 @@ CODES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
         ("code des instruments monétaires",),
     ),
     ("artisanat", "Code de l'artisanat", ()),
+)
+_TERR_CODES = (
     ("urbanisme", "Code de l'urbanisme", ()),
     ("construction_habitation", "Code de la construction et de l'habitation", ()),
     (
@@ -115,6 +68,8 @@ CODES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("tourisme", "Code du tourisme", ()),
     ("patrimoine", "Code du patrimoine", ()),
     ("propriete_publique", "Code général de la propriété des personnes publiques", ()),
+)
+_SOCIAL_CODES = (
     ("action_sociale", "Code de l'action sociale et des familles", ()),
     ("consommation", "Code de la consommation", ()),
     ("mutualite", "Code de la mutualité", ()),
@@ -135,6 +90,8 @@ CODES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
         (),
     ),
     ("recherche", "Code de la recherche", ()),
+)
+_ADMIN_CODES = (
     ("justice_administrative", "Code de justice administrative", ()),
     ("juridictions_financieres", "Code des juridictions financières", ()),
     ("organisation_judiciaire", "Code de l'organisation judiciaire", ()),
@@ -147,9 +104,23 @@ CODES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("aviation_civile", "Code de l'aviation civile", ()),
     ("communes", "Code des communes", ()),
     ("electoral", "Code électoral", ()),
+)
+_STRAGGLER_CODES = (
     ("propriete_intellectuelle", "Code de la propriété intellectuelle", ()),
     ("marine_marchande", "Code disciplinaire et pénal de la marine marchande", ()),
 )
+_GROUPS = (
+    _CLUB_CODES, _SINGULAR_CODES, _TERR_CODES, _SOCIAL_CODES, _ADMIN_CODES, _STRAGGLER_CODES
+)
+CODES: tuple[tuple[str, str, tuple[str, ...]], ...] = tuple(
+    code for group in _GROUPS for code in group
+)
+CLUB, _SINGULAR, TERR, SOCIAL, ADMIN, STRAGGLERS = (
+    tuple(slug for slug, _, _ in group) for group in _GROUPS
+)
+HEXAGON, CITING_FIVE, CIRCLES = CLUB[0], CLUB[:5], CLUB[5:]
+PENDANT, SOURCE_ONLY = _SINGULAR[1:]
+COMMUNITY = TERR + SOCIAL + ADMIN
 
 # arcs raised above count 1 to exercise citation multiplicities
 _MULTI_COUNTS = {
@@ -159,31 +130,10 @@ _MULTI_COUNTS = {
     ("urbanisme", "construction_habitation"): 2,
 }
 
-_CLUB_OUT_QUOTA = (
-    (HEXAGON, 12),
-    ("collectivites_territoriales", 10),
-    ("environnement", 9),
-    ("securite_sociale", 8),
-    ("rural", 7),
-    ("penal", 3),
-    ("civil", 3),
-    ("procedure_penale", 2),
-    ("travail", 2),
-    ("commerce", 2),
-)
-
-_CLUB_IN_QUOTA = (
-    ("penal", 9),
-    ("civil", 9),
-    ("procedure_penale", 10),
-    ("travail", 8),
-    ("commerce", 7),
-    (HEXAGON, 12),
-    ("collectivites_territoriales", 4),
-    ("environnement", 4),
-    ("securite_sociale", 4),
-    ("rural", 4),
-)
+# periphery arcs each club member cites, in club order
+_CLUB_OUT_QUOTA = tuple(zip(CLUB, (12, 10, 9, 8, 7, 3, 3, 2, 2, 2)))
+# periphery arcs citing each club member: the circles, then the five most citing
+_CLUB_IN_QUOTA = tuple(zip(CIRCLES + CITING_FIVE, (9, 9, 10, 8, 7, 12, 4, 4, 4, 4)))
 
 
 def fixture_edge_table() -> dict[tuple[str, str], int]:

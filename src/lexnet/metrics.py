@@ -14,7 +14,7 @@ from functools import partial
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateGraphError, LexnetError
+from .errors import ConfigError, DegenerateGraphError
 from .graph import DiGraph, NodeId, UGraph, distance_counts
 from .parallel import ordered_map
 
@@ -79,10 +79,10 @@ class Ranking(NamedTuple):
     truncated_tie: bool
 
 
-def _top_by_degree(g: DiGraph, k: int, degree_of) -> Ranking:
+def _top_by_degree(g: DiGraph, k: int, degree_of, field: str) -> Ranking:
     n = g.node_count
     if not isinstance(k, int) or k < 1 or k > n:
-        raise LexnetError(f"k must be in 1..{n}, got {k!r}")
+        raise ConfigError(f"{field}={k!r} must be in 1..{n}, the node count")
     order = sorted(g.node_ids(), key=lambda v: (-degree_of(v), g.slug(v)))
     tie = k < n and degree_of(order[k - 1]) == degree_of(order[k])
     return Ranking(tuple(order[:k]), tie)
@@ -94,12 +94,12 @@ def top_citing(g: DiGraph, k: int) -> Ranking:
     The flag reports a truncated tie: the k-th value equals the (k+1)-th,
     so membership at the boundary was decided by slug order alone.
     """
-    return _top_by_degree(g, k, g.out_degree)
+    return _top_by_degree(g, k, g.out_degree, "k_citing")
 
 
 def top_cited(g: DiGraph, k: int) -> Ranking:
     """The k nodes of highest in-degree (most cited), ties by slug."""
-    return _top_by_degree(g, k, g.in_degree)
+    return _top_by_degree(g, k, g.in_degree, "k_cited")
 
 
 class RichClub(NamedTuple):

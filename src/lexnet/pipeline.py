@@ -1,7 +1,7 @@
 """Assembles the analysis report from the individual analyses.
 
-:func:`build_sections` makes one pass over a graph and returns the
-requested report sections; the full ``analyze`` run and the partial CLI
+:func:`build_sections` makes one pass over a graph and returns a report
+of the requested sections; the full ``analyze`` run and the partial CLI
 subcommands both select from it, so they agree section for section.
 Random seeds are derived per section from the configured base seed,
 never drawn sequentially, so a section's content is independent of which
@@ -131,7 +131,7 @@ def build_sections(
     inputs: Sequence[str] = (),
     run_id: str = "",
 ) -> dict:
-    """The named report sections of g, keyed and ordered as in ``names``.
+    """A report of g: ``schema_version``, then the sections in ``names``, in that order.
 
     The undirected projection, the rich club and its cohesion test are
     computed once, whatever is named, and shared by every section that
@@ -165,7 +165,7 @@ def build_sections(
     del ug
     if "communities" in names:
         sections["communities"] = build_communities_section(g, club, config)
-    return {name: sections[name] for name in names}
+    return {"schema_version": SCHEMA_VERSION, **{name: sections[name] for name in names}}
 
 
 def analyze_graph(
@@ -175,5 +175,4 @@ def analyze_graph(
     run_id: str = "",
 ) -> dict:
     """Run every analysis and assemble the full report payload."""
-    sections = build_sections(g, config, REPORT_SECTIONS, inputs, run_id)
-    return {"schema_version": SCHEMA_VERSION, **sections}
+    return build_sections(g, config, REPORT_SECTIONS, inputs, run_id)

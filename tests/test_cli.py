@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import typing
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -99,6 +100,31 @@ class TestFixtureAndExtract:
         keys = [tuple(line.split("\t")[:2]) for line in lines]
         assert keys == sorted(keys)
         assert len(nodes.read_text(encoding="utf-8").splitlines()) == 52
+
+    def test_extract_holds_one_document_at_a_time(self, tmp_path):
+        # extract's peak memory does not grow with the number of documents
+        slugs = [f"c{i:02}" for i in range(40)]
+        registry = tmp_path / "registry.tsv"
+        registry.write_text("".join(f"{s}\tCode {s}\tCode {s}\n" for s in slugs), encoding="utf-8")
+        text = "Voir le Code c00.\n" + "Sans renvoi. " * 4000 + "\n"
+
+        def peak(count: int) -> int:
+            corpus = tmp_path / f"corpus{count}"
+            corpus.mkdir(exist_ok=True)
+            for slug in slugs[:count]:
+                (corpus / f"{slug}.txt").write_text(text, encoding="utf-8")
+            argv = ["extract", "--corpus", str(corpus), "--registry", str(registry),
+                    "--out", str(tmp_path / "edges.tsv")]
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # imports and compiles what every run shares
+        small, large = peak(4), peak(40)
+        assert large < 1.5 * small, (small, large)
 
 
 class TestAnalyze:
@@ -935,6 +961,24 @@ class TestWriteFailures:
         assert len(err.splitlines()) == 1
         assert [p.name for p in (tmp_path / "fx").rglob("*.tmp")] == []
 
+    @pytest.mark.parametrize("command", ["extract", "richclub"])
+    def test_closed_standard_output(self, command, extracted, fixture_dir):
+        # no --out, and the pipe's read end is closed before lexnet writes
+        argv = {
+            "extract": ["extract", "--corpus", str(fixture_dir / "corpus"),
+                        "--registry", str(fixture_dir / "registry.tsv")],
+            "richclub": ["richclub", "--edges", str(extracted[0]), "--null-samples", "2"],
+        }[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _python(["-m", "lexnet.cli", *argv], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("lexnet: cannot write to standard output")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_written_file_replaces_old_contents(self, extracted, tmp_path):
         edges, nodes = extracted
         out = tmp_path / "report.json"
@@ -970,16 +1014,19 @@ class TestLazyPackage:
         assert _fresh_python(["-c", code]) == "[]\n"
 
 
-def _python(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
+def _python(
+    args: list[str], cwd: Path | None = None, stdout: int = subprocess.PIPE
+) -> subprocess.CompletedProcess:
     """A new interpreter on src/, run without site (-S), its output captured as text.
 
     A fresh interpreter, since this one has loaded what pytest needs, and
-    without site, which preloads different modules on each host.
+    without site, which preloads different modules on each host. stdout
+    may name a file descriptor to write to instead of a captured pipe.
     """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-S", *args], env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
-        capture_output=True, text=True,
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
     )
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexnet.errors import DegenerateGraphError, LexnetError
+from lexnet.config import PipelineConfig
+from lexnet.errors import ConfigError, DegenerateGraphError
 from lexnet.metrics import (
     Role,
     average_path_length,
@@ -27,6 +28,7 @@ from lexnet.metrics import (
     top_citing,
 )
 from lexnet.nullmodels import degree_preserving_rewire, erdos_renyi_gnm, watts_strogatz
+from lexnet.pipeline import build_sections
 
 from conftest import (
     brute_force_betweenness,
@@ -151,10 +153,18 @@ class TestRankings:
 
     def test_bad_k(self):
         g = make_digraph("ab", [("a", "b")])
-        with pytest.raises(LexnetError, match=r"k must be in 1\.\.2, got 0"):
+        with pytest.raises(ConfigError, match=r"^k_citing=0 must be in 1\.\.2, the node count$"):
             top_citing(g, 0)
-        with pytest.raises(LexnetError, match=r"k must be in 1\.\.2, got 3"):
+        with pytest.raises(ConfigError, match=r"^k_cited=3 must be in 1\.\.2, the node count$"):
             top_cited(g, 3)
+
+    @pytest.mark.parametrize("field", ["k_citing", "k_cited"])
+    def test_k_larger_than_the_graph_is_a_config_error(self, field):
+        # the rule is checked once, by the ranking, for the CLI and library callers alike
+        g = make_digraph("abc", [("a", "b"), ("b", "c")])
+        config = PipelineConfig(**{"k_citing": 1, "k_cited": 1, field: g.node_count + 1})
+        with pytest.raises(ConfigError, match=f"^{field}=4 "):
+            build_sections(g, config, ["rich_club"])
 
     def test_relabeling_permutes_rankings(self):
         rng = random.Random(31)
